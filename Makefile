@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race ci chaos chaos-disk oracle cover bench bench-json calibrate perf-smoke experiments fuzz cluster-smoke cluster-bench clean
+.PHONY: all build test vet race ci chaos chaos-disk oracle perfbench-smoke cover bench bench-json calibrate perf-smoke experiments fuzz cluster-smoke cluster-bench clean
 
 all: build vet test
 
@@ -19,6 +19,7 @@ ci:
 	$(MAKE) chaos
 	$(MAKE) chaos-disk
 	$(MAKE) oracle
+	$(MAKE) perfbench-smoke
 
 # The fault-tolerance suite under the race detector, repeated to
 # shake out timing-dependent interleavings (mirrors the ci.yml chaos
@@ -47,6 +48,12 @@ chaos-disk:
 # Rotate the corpus with `go run ./cmd/benchtab -oracle -oracle-seed N`.
 oracle:
 	$(GO) run ./cmd/benchtab -oracle
+
+# The end-to-end benchmark's smoke: all four perfbench workloads at
+# toy size, every answer byte-checked (mirrors the ci.yml
+# perfbench-smoke job). perfbench is its own module, outside ./...
+perfbench-smoke:
+	cd perfbench && $(GO) test .
 
 build:
 	$(GO) build ./...

@@ -1,10 +1,12 @@
 // Command pcbinspect demonstrates the paper's motivating application
 // end to end: it generates a synthetic PCB, injects fabrication
-// defects into a simulated scan, compares scan against reference with
-// the systolic RLE difference engine, and prints the defect report.
+// defects into a simulated scan, compares scan against reference in
+// the compressed domain (the hybrid planner unless -engine names
+// another engine, e.g. the paper's lockstep array), and prints the
+// defect report.
 //
 //	pcbinspect [-width 800] [-height 600] [-defects 8] [-seed 1]
-//	           [-engine lockstep|channel|sequential|sparse|stream|bus|verified]
+//	           [-engine planner|lockstep|channel|sequential|sparse|bus|verified|packed]
 //	           [-server http://host:8422]
 //	           [-save-ref ref.pbm] [-save-scan scan.pbm]
 //
@@ -40,7 +42,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		height   = fs.Int("height", 600, "board height in pixels")
 		defects  = fs.Int("defects", 8, "defects to inject")
 		seed     = fs.Int64("seed", 1, "RNG seed")
-		engine   = fs.String("engine", "lockstep", "diff engine: "+strings.Join(sysrle.EngineNames(), ", "))
+		engine   = fs.String("engine", "", "diff engine (default: planner locally, the server's default with -server): "+strings.Join(sysrle.EngineNames(), ", "))
 		saveRef  = fs.String("save-ref", "", "write the reference artwork as PBM")
 		saveScan = fs.String("save-scan", "", "write the defective scan as PBM")
 		misalign = fs.Int("misalign", 0, "shift the scan by this many pixels to exercise auto-registration")
@@ -53,6 +55,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	eng, err := sysrle.NewEngineByName(*engine)
 	if err != nil {
 		return err
+	}
+	if *engine == "" {
+		eng = nil // the Inspector's default: one planner per row worker
 	}
 
 	rng := rand.New(rand.NewSource(*seed))

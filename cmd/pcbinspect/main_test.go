@@ -98,7 +98,7 @@ func TestRunRemoteServer(t *testing.T) {
 	defer func() { ts.Close(); srv.Close() }()
 
 	var stdout, stderr bytes.Buffer
-	args := append([]string{"-defects", "4", "-server", ts.URL}, smallBoard...)
+	args := append([]string{"-defects", "4", "-server", ts.URL, "-engine", "lockstep"}, smallBoard...)
 	if err := run(args, &stdout, &stderr); err != nil {
 		t.Fatalf("remote run: %v (stderr: %s)", err, stderr.String())
 	}

@@ -1,7 +1,7 @@
 // Command sysdiff computes the difference (XOR) of two binary images
 // in the compressed domain:
 //
-//	sysdiff [-engine lockstep|channel|sequential|sparse|stream|bus|verified] \
+//	sysdiff [-engine planner|lockstep|channel|sequential|sparse|bus|verified|packed] \
 //	        [-o out.pbm] [-format pbm|pbm-plain|png|rlet|rleb] \
 //	        [-server http://host:8422] [-ref <id>] \
 //	        [-stats] a.pbm b.pbm
@@ -9,8 +9,10 @@
 // Inputs may be PBM (P1/P4), PNG, or this repository's RLE
 // text/binary formats; the format is sniffed from the magic bytes.
 // The output defaults to PBM on stdout. With -stats, per-image
-// engine statistics (iterations, rows differing) go to stderr — the
-// numbers the paper's evaluation is about.
+// engine statistics (iterations, rows differing) go to stderr; pass
+// -engine lockstep for the systolic iteration counts the paper's
+// evaluation is about. Without -engine the diff runs on the hybrid
+// planner locally and on the server's default remotely.
 //
 // With -server the diff is computed remotely by a sysdiffd instance
 // (or a cluster coordinator) through the typed v1 client; -ref names
@@ -43,7 +45,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("sysdiff", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		engineName = fs.String("engine", "lockstep", "diff engine: "+strings.Join(sysrle.EngineNames(), ", "))
+		engineName = fs.String("engine", "", "diff engine (default: planner locally, the server's default with -server): "+strings.Join(sysrle.EngineNames(), ", "))
 		output     = fs.String("o", "", "output file (default stdout)")
 		format     = fs.String("format", "pbm", fmt.Sprintf("output format: %v", imageio.Formats()))
 		stats      = fs.Bool("stats", false, "print engine statistics to stderr")
@@ -88,10 +90,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
+		opts := []sysrle.Option{sysrle.WithWorkers(*workers)}
+		if *engineName != "" {
+			// Unset, DiffImage builds one planner per worker, so
+			// -workers still parallelizes the default.
+			opts = append(opts, sysrle.WithEngine(engine))
+		}
 		var stp *sysrle.ImageStats
-		diff, stp, err = sysrle.DiffImage(a, b,
-			sysrle.WithEngine(engine),
-			sysrle.WithWorkers(*workers))
+		diff, stp, err = sysrle.DiffImage(a, b, opts...)
 		if err != nil {
 			return err
 		}
@@ -116,16 +122,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 }
 
 // remoteDiff ships the diff to a sysdiffd or coordinator through the
-// typed client. With a -ref id only the scan is uploaded.
+// typed client. With a -ref id only the scan is uploaded. An empty
+// engine name leaves the choice to the server.
 func remoteDiff(serverURL, engineName, refID string, files []string) (*apiclient.DiffResult, error) {
 	c, err := apiclient.New(serverURL, apiclient.Options{})
 	if err != nil {
 		return nil, err
 	}
-	req := apiclient.DiffRequest{RefID: refID}
-	if engineName != "lockstep" { // flag default means "server default" remotely
-		req.Engine = engineName
-	}
+	req := apiclient.DiffRequest{RefID: refID, Engine: engineName}
 	scanIdx := 0
 	if refID == "" {
 		if req.A, err = imageio.ReadFile(files[0]); err != nil {

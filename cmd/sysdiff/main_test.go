@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"sysrle"
@@ -124,7 +126,7 @@ func TestRunRemoteServer(t *testing.T) {
 
 	pathA, pathB, want := testPair(t)
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-server", ts.URL, "-stats", "-format", "rleb", pathA, pathB}, &stdout, &stderr); err != nil {
+	if err := run([]string{"-server", ts.URL, "-engine", "lockstep", "-stats", "-format", "rleb", pathA, pathB}, &stdout, &stderr); err != nil {
 		t.Fatalf("remote run: %v (stderr: %s)", err, stderr.String())
 	}
 	got, err := imageio.Read(&stdout)
@@ -136,6 +138,50 @@ func TestRunRemoteServer(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "engine=systolic-") {
 		t.Errorf("remote stats missing engine: %q", stderr.String())
+	}
+}
+
+// TestRunRemoteForwardsEngine checks that -engine reaches the server
+// as set, and that leaving it unset leaves the choice to the server.
+func TestRunRemoteForwardsEngine(t *testing.T) {
+	srv := server.New()
+	var mu sync.Mutex
+	var sent []string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/diff" {
+			mu.Lock()
+			sent = append(sent, r.URL.Query().Get("engine"))
+			mu.Unlock()
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	defer func() { ts.Close(); srv.Close() }()
+
+	pathA, pathB, _ := testPair(t)
+	for _, c := range []struct{ flag, want, engine string }{
+		{"lockstep", "lockstep", "engine=systolic-lockstep "},
+		{"planner", "planner", "engine=planner "},
+		{"", "", "engine=planner "},
+	} {
+		mu.Lock()
+		sent = nil
+		mu.Unlock()
+		args := []string{"-server", ts.URL, "-stats", pathA, pathB}
+		if c.flag != "" {
+			args = append([]string{"-engine", c.flag}, args...)
+		}
+		var stdout, stderr bytes.Buffer
+		if err := run(args, &stdout, &stderr); err != nil {
+			t.Fatalf("%v: %v (stderr: %s)", args, err, stderr.String())
+		}
+		mu.Lock()
+		if len(sent) != 1 || sent[0] != c.want {
+			t.Errorf("-engine %q sent engine=%q, want %q", c.flag, sent, c.want)
+		}
+		mu.Unlock()
+		if !strings.Contains(stderr.String(), c.engine) {
+			t.Errorf("-engine %q: stats %q lack %q", c.flag, stderr.String(), c.engine)
+		}
 	}
 }
 

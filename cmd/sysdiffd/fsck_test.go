@@ -51,7 +51,7 @@ func populateDataDir(t *testing.T, fs *store.MemFS) string {
 	for i := 0; i < 3; i++ {
 		if _, err := log.Append(auditlog.Verdict{
 			Time: time.Unix(int64(1000+i), 0), JobID: "job-000001",
-			ScanIndex: i, RefID: id, Engine: "stream", Defects: i,
+			ScanIndex: i, RefID: id, Engine: "planner", Defects: i,
 		}); err != nil {
 			t.Fatal(err)
 		}

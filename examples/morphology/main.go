@@ -67,7 +67,7 @@ func main() {
 
 	// How close did we get to the original? Diff in the compressed
 	// domain with the systolic engine.
-	diff, stats, err := sysrle.DiffImage(clean.ToRLE(), restored)
+	diff, stats, err := sysrle.DiffImage(clean.ToRLE(), restored, sysrle.WithEngine(sysrle.NewLockstep()))
 	if err != nil {
 		log.Fatal(err)
 	}

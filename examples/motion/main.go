@@ -57,7 +57,7 @@ func main() {
 
 	for t := 1; t < frames; t++ {
 		cur := renderFrame(clutter, t).ToRLE()
-		diff, stats, err := sysrle.DiffImage(prev, cur)
+		diff, stats, err := sysrle.DiffImage(prev, cur, sysrle.WithEngine(sysrle.NewLockstep()))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -55,7 +55,7 @@ func main() {
 
 	// The noise itself, found by systolic differencing clean vs
 	// noisy (what an inspection system would do).
-	diff, stats, err := sysrle.DiffImage(scene, noisy)
+	diff, stats, err := sysrle.DiffImage(scene, noisy, sysrle.WithEngine(sysrle.NewLockstep()))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"log"
 	"math/rand"
 
+	"sysrle"
 	"sysrle/internal/inspect"
 )
 
@@ -40,8 +41,10 @@ func main() {
 		fmt.Printf("  %-12s at (%d,%d)-(%d,%d)\n", inj.Type, inj.X0, inj.Y0, inj.X1, inj.Y1)
 	}
 
-	// Compare in the compressed domain, rows in parallel.
-	ins := &inspect.Inspector{MinDefectArea: 2}
+	// Compare in the compressed domain, rows in parallel, on the
+	// paper's lockstep engine so the iteration counts below are the
+	// systolic ones.
+	ins := &inspect.Inspector{Engine: sysrle.NewLockstep(), MinDefectArea: 2}
 	rep, err := ins.Compare(ref, scan)
 	if err != nil {
 		log.Fatal(err)

@@ -35,7 +35,13 @@ type DiffRequest struct {
 }
 
 // DiffResult is the decoded response: the difference image plus the
-// engine statistics from the X-Sysrle-* headers.
+// engine statistics from the X-Sysrle-* headers. Stats counts the work
+// of the engine that ran (Engine). For the systolic engines an
+// iteration is a systolic iteration and cells are array cells. For
+// the default planner an iteration is a merge step on a row routed to
+// the RLE merge plus a 64-pixel word on a row routed to the packed
+// XOR, and cells are 0. Request Engine "lockstep" for the paper's
+// iteration counts.
 type DiffResult struct {
 	Image      *rle.Image
 	Stats      sysrle.ImageStats

@@ -119,11 +119,13 @@ func TestCoordinatorScatterDiffMatchesSingleNode(t *testing.T) {
 	a := genImage(t, 1, 320, 300)
 	b := genImage(t, 2, 320, 300)
 
-	status, hdr, got := postDiff(t, coordURL, a, b, "format=rleb")
+	// Lockstep is pinned: the default planner's iteration counts depend
+	// on the row order each band's planner sees.
+	status, hdr, got := postDiff(t, coordURL, a, b, "format=rleb&engine=lockstep")
 	if status != http.StatusOK {
 		t.Fatalf("coordinator diff status = %d, body %s", status, got)
 	}
-	singleStatus, singleHdr, want := postDiff(t, shards[0], a, b, "format=rleb")
+	singleStatus, singleHdr, want := postDiff(t, shards[0], a, b, "format=rleb&engine=lockstep")
 	if singleStatus != http.StatusOK {
 		t.Fatalf("single-node diff status = %d", singleStatus)
 	}

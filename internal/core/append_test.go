@@ -17,7 +17,6 @@ func appendEngines(t testing.TB) (map[string]Engine, func()) {
 		"lockstep":   Lockstep{},
 		"sequential": Sequential{},
 		"sparse":     Sparse{},
-		"stream":     NewStream(),
 		"channel":    Channel{}, // no append path: exercises the dispatcher fallback
 		"array":      arr,
 		"verified":   NewVerified(Lockstep{}),
@@ -134,26 +133,97 @@ func TestGatherAppendOverflowedCell(t *testing.T) {
 	}
 }
 
-func TestStreamAppendZeroAllocs(t *testing.T) {
+// The lockstep append path reuses pooled cell arrays and shift
+// buffers across rows; these tests pin what that reuse must not
+// change.
+
+func TestLockstepAppendMatchesXORRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(811))
+	var dst rle.Row
+	for trial := 0; trial < 300; trial++ {
+		width := 16 + rng.Intn(400)
+		a := randomValidRow(rng, width)
+		b := randomValidRow(rng, width)
+		want, err := Lockstep{}.XORRow(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Lockstep{}.XORRowAppend(dst[:0], a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst = got.Row
+		if !got.Row.Equal(want.Row.Canonicalize()) || got.Iterations != want.Iterations || got.Cells != want.Cells {
+			t.Fatalf("append path diverges on %v ^ %v: %+v vs %+v", a, b, got, want)
+		}
+	}
+}
+
+func TestLockstepAppendResultsSurviveReuse(t *testing.T) {
+	first, err := Lockstep{}.XORRowAppend(nil, fig1Img1(), fig1Img2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := first.Row.Clone()
+	// A second, different call reuses the pooled cells; it must not
+	// corrupt the first result.
+	if _, err := (Lockstep{}).XORRowAppend(nil, fig1Img2(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if !first.Row.Equal(snapshot) {
+		t.Error("reusing the pooled scratch mutated an earlier result")
+	}
+}
+
+func TestLockstepAppendGrowsAndShrinks(t *testing.T) {
+	rng := rand.New(rand.NewSource(813))
+	// Big input first, then small: stale pooled cells must be cleared.
+	big := randomValidRow(rng, 2000)
+	if _, err := (Lockstep{}).XORRowAppend(nil, big, big); err != nil {
+		t.Fatal(err)
+	}
+	small := rle.Row{{Start: 2, Length: 3}}
+	res, err := Lockstep{}.XORRowAppend(nil, small, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Row.Equal(small) {
+		t.Fatalf("after shrink: %v", res.Row)
+	}
+	if res.Cells != 2 {
+		t.Errorf("cells = %d, want 2", res.Cells)
+	}
+}
+
+func TestLockstepAppendRejectsInvalid(t *testing.T) {
+	bad := rle.Row{{Start: 5, Length: 2}, {Start: 4, Length: 2}}
+	if _, err := (Lockstep{}).XORRowAppend(nil, bad, nil); err == nil {
+		t.Error("invalid input accepted")
+	}
+}
+
+func TestLockstepAppendZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are nondeterministic under -race (sync.Pool drops)")
+	}
 	rng := rand.New(rand.NewSource(31))
 	a := randomValidRow(rng, 2000)
 	b := randomValidRow(rng, 2000)
-	s := NewStream()
-	// Warm the arena and the destination once.
-	res, err := s.XORRowAppend(nil, a, b)
+	// Warm the pool and the destination once.
+	res, err := Lockstep{}.XORRowAppend(nil, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dst := res.Row
 	allocs := testing.AllocsPerRun(50, func() {
-		r, err := s.XORRowAppend(dst[:0], a, b)
+		r, err := Lockstep{}.XORRowAppend(dst[:0], a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
 		dst = r.Row
 	})
 	if allocs != 0 {
-		t.Fatalf("warm Stream.XORRowAppend allocated %.1f times per row, want 0", allocs)
+		t.Fatalf("warm Lockstep.XORRowAppend allocated %.1f times per row, want 0", allocs)
 	}
 }
 
@@ -177,7 +247,7 @@ func BenchmarkXORRowAppend(b *testing.B) {
 	rng := rand.New(rand.NewSource(53))
 	rowA := randomValidRow(rng, 4096)
 	rowB := randomValidRow(rng, 4096)
-	for _, e := range []Engine{Lockstep{}, Sparse{}, Sequential{}, NewStream()} {
+	for _, e := range []Engine{Lockstep{}, Sparse{}, Sequential{}} {
 		b.Run(e.Name(), func(b *testing.B) {
 			var dst rle.Row
 			b.ReportAllocs()

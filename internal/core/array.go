@@ -111,6 +111,10 @@ func (a *ChannelArray) Name() string {
 	return fmt.Sprintf("systolic-array/%d", a.n)
 }
 
+// OneMachine implements OneMachine: the cells are the array's only
+// copy of the hardware.
+func (a *ChannelArray) OneMachine() {}
+
 // broadcast sends one command to every cell.
 func (a *ChannelArray) broadcast(c arrayCmd) {
 	for i := 0; i < a.n; i++ {

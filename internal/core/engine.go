@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 
 	"sysrle/internal/rle"
 	"sysrle/internal/systolic"
@@ -47,6 +48,34 @@ type AppendEngine interface {
 	// appends it, canonical, to dst. The returned Result's Row is the
 	// extended dst (reallocated only if capacity ran out).
 	XORRowAppend(dst rle.Row, a, b rle.Row) (Result, error)
+}
+
+// OneMachine is implemented by engines that are one machine each:
+// they carry buffers or routing state from row to row, so concurrent
+// row workers must not share one. The method does nothing; it marks
+// the type for RowWorkers.
+type OneMachine interface {
+	Engine
+	OneMachine()
+}
+
+// RowWorkers sizes the worker pool of a whole-image loop that shares
+// engine e across its workers: n workers (GOMAXPROCS when n ≤ 0), no
+// more than there are rows, and exactly one when e is a OneMachine.
+// It is the single home of that rule; sysrle.DiffImage and
+// inspect.Inspector both size their pools through it. A nil e means
+// each worker builds its own engine, so n stands.
+func RowWorkers(e Engine, n, rows int) int {
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	if n > rows && rows > 0 {
+		n = rows
+	}
+	if _, ok := e.(OneMachine); ok {
+		n = 1
+	}
+	return n
 }
 
 // XORRowAppend runs e's append path when it implements AppendEngine

@@ -43,7 +43,7 @@ func PCBSweep(cfg Config, sizes [][2]int, defectCounts []int) ([]PCBPoint, error
 				scanBits, injected := inspect.InjectDefects(rng, layout, nd)
 				ref, scan := layout.Art.ToRLE(), scanBits.ToRLE()
 
-				sysRep, err := (&inspect.Inspector{MinDefectArea: 2}).Compare(ref, scan)
+				sysRep, err := (&inspect.Inspector{Engine: core.Lockstep{}, MinDefectArea: 2}).Compare(ref, scan)
 				if err != nil {
 					return nil, err
 				}

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"sysrle/internal/core"
+	"sysrle/internal/planner"
 	"sysrle/internal/rle"
+	"sysrle/internal/workload"
 )
 
 func testLayout(t *testing.T, seed int64) *Layout {
@@ -292,6 +294,39 @@ func TestCompareEngineChoiceEquivalent(t *testing.T) {
 	}
 }
 
+// TestCompareSharedOneMachineEngine shares one planner (and one packed
+// engine) across four requested row workers. Run under -race: the
+// Inspector must size its pool through core.RowWorkers, which gives a
+// shared core.OneMachine engine one worker, or the workers race on the
+// router's hysteresis state and the packed word buffers.
+func TestCompareSharedOneMachineEngine(t *testing.T) {
+	rng := rand.New(rand.NewSource(512))
+	ref, err := workload.GenerateImage(rng, workload.PaperRow(512, 0.3), 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan, err := workload.GenerateImage(rng, workload.PaperRow(512, 0.3), 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := (&Inspector{Engine: core.Sequential{}, Workers: 4}).Compare(ref, scan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range []core.Engine{planner.New(), planner.NewPacked(), nil} {
+		got, err := (&Inspector{Engine: eng, Workers: 4}).Compare(ref, scan)
+		if err != nil {
+			t.Fatalf("%v: %v", eng, err)
+		}
+		if got.DiffArea != want.DiffArea || got.DiffRuns != want.DiffRuns ||
+			got.RowsDiffering != want.RowsDiffering || len(got.Defects) != len(want.Defects) {
+			t.Errorf("%v: area/runs/rows/defects %d/%d/%d/%d, sequential merge %d/%d/%d/%d", eng,
+				got.DiffArea, got.DiffRuns, got.RowsDiffering, len(got.Defects),
+				want.DiffArea, want.DiffRuns, want.RowsDiffering, len(want.Defects))
+		}
+	}
+}
+
 func TestCompareMinDefectArea(t *testing.T) {
 	layout := testLayout(t, 14)
 	scan := layout.Art.Clone()
@@ -321,7 +356,8 @@ func TestCompareIterationStats(t *testing.T) {
 	if len(injected) == 0 {
 		t.Fatal("no defects placed")
 	}
-	rep, err := (&Inspector{}).Compare(layout.Art.ToRLE(), scan.ToRLE())
+	// Lockstep is pinned: the bound below is on systolic iterations.
+	rep, err := (&Inspector{Engine: core.Lockstep{}}).Compare(layout.Art.ToRLE(), scan.ToRLE())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,11 +3,11 @@ package inspect
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 
 	"sysrle/internal/core"
+	"sysrle/internal/planner"
 	"sysrle/internal/rle"
 )
 
@@ -56,8 +56,9 @@ func (r *Report) Clean() bool { return len(r.Defects) == 0 }
 // Inspector compares scans against a reference using an RLE
 // difference engine.
 type Inspector struct {
-	// Engine computes row differences; nil means the lockstep
-	// systolic engine.
+	// Engine computes row differences; nil means one hybrid planner
+	// per row worker (planner.New). A non-nil engine is shared by the
+	// row workers, so a core.OneMachine engine runs on one worker.
 	Engine core.Engine
 	// Workers bounds the row-comparison parallelism; 0 means
 	// GOMAXPROCS.
@@ -88,10 +89,6 @@ func (ins *Inspector) CompareContext(ctx context.Context, ref, scan *rle.Image) 
 	if ref.Width != scan.Width || ref.Height != scan.Height {
 		return nil, fmt.Errorf("inspect: size mismatch %dx%d vs %dx%d", ref.Width, ref.Height, scan.Width, scan.Height)
 	}
-	engine := ins.Engine
-	if engine == nil {
-		engine = core.Lockstep{}
-	}
 	alignDX, alignDY := 0, 0
 	if ins.MaxAlignShift > 0 {
 		var dx, dy int
@@ -114,19 +111,7 @@ func (ins *Inspector) CompareContext(ctx context.Context, ref, scan *rle.Image) 
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("inspect: %w", err)
 	}
-	workers := ins.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > ref.Height && ref.Height > 0 {
-		workers = ref.Height
-	}
-	switch engine.(type) {
-	case *core.Stream, *core.ChannelArray:
-		// One machine each — sharing one across row workers would race
-		// on its buffers, so these engines always run single-worker.
-		workers = 1
-	}
+	workers := core.RowWorkers(ins.Engine, ins.Workers, ref.Height)
 
 	diff := rle.NewImage(ref.Width, ref.Height)
 	iterations := make([]int, ref.Height)
@@ -141,6 +126,10 @@ func (ins *Inspector) CompareContext(ctx context.Context, ref, scan *rle.Image) 
 			// row, already canonical, into the reused scratch, and only
 			// the exact-size persisted copy survives — the same
 			// zero-allocation hot path as sysrle.DiffImage.
+			engine := ins.Engine
+			if engine == nil {
+				engine = planner.New()
+			}
 			arena := rle.NewArena(0)
 			var scratch rle.Row
 			for y := range next {
@@ -243,7 +232,7 @@ func classify(ref *rle.Image, comp Component) string {
 func FormatReport(rep *Report) string {
 	s := fmt.Sprintf("rows compared: %d, differing: %d; diff runs: %d, diff pixels: %d\n",
 		rep.RowsCompared, rep.RowsDiffering, rep.DiffRuns, rep.DiffArea)
-	s += fmt.Sprintf("systolic iterations: total %d, max/row %d\n",
+	s += fmt.Sprintf("engine iterations: total %d, max/row %d\n",
 		rep.TotalIterations, rep.MaxRowIterations)
 	if rep.Clean() {
 		return s + "board is clean\n"

@@ -5,10 +5,10 @@
 //
 // A job is N scans against one reference (either a refstore id, so
 // the decoded reference is fetched once through the registry's cache
-// and shared by every scan, or an inline image). Each worker owns a
-// buffer-reusing core.NewStream() engine, the lowest-allocation way
-// to push many rows through one simulated array; scans are the unit
-// of parallelism, so a job's scans spread across the whole pool. The
+// and shared by every scan, or an inline image). Each worker owns its
+// engine — by default the hybrid planner, which keeps buffers and
+// routing state from row to row; scans are the unit of parallelism,
+// so a job's scans spread across the whole pool. The
 // task queue is bounded: a Submit that doesn't fit fails with
 // ErrQueueFull and the HTTP layer turns that into 429 backpressure.
 //
@@ -184,8 +184,8 @@ type Spec struct {
 	// submission (completion order is unspecified).
 	Scans []*rle.Image
 	// Engine selects the row-difference engine by registry name
-	// (sysrle.EngineNames); "" means "stream", the per-worker
-	// buffer-reusing lockstep stream. Inspect jobs only.
+	// (sysrle.EngineNames); "" means sysrle.DefaultEngine, the
+	// hybrid planner. Inspect jobs only.
 	Engine string
 	// MinDefectArea and MaxAlignShift forward to inspect.Inspector.
 	MinDefectArea int
@@ -413,15 +413,11 @@ func (m *Manager) Close() {
 
 // engineFor builds the engine one worker uses for one job. Named
 // engines resolve through the facade registry (the single source of
-// engine names shared with the HTTP service and the CLI tools); the
-// job default is the buffer-reusing stream engine, constructed fresh
-// per worker because its state is per-call. Engines that export
-// their own telemetry (the planner's per-decision route counters)
-// get reg attached when it is non-nil.
+// engine names shared with the HTTP service and the CLI tools), ""
+// meaning the registry default. Engines that export their own
+// telemetry (the planner's per-decision route counters) get reg
+// attached when it is non-nil.
 func engineFor(name string, reg *telemetry.Registry) (core.Engine, error) {
-	if name == "" {
-		name = "stream"
-	}
 	eng, err := sysrle.NewEngineByName(name)
 	if err != nil {
 		return nil, fmt.Errorf("jobs: %w", err)
@@ -599,12 +595,12 @@ func (m *Manager) Delete(id string) error {
 
 // worker drains the queue, beating the heartbeat registry around
 // every task. Each worker constructs the job's engine itself, so
-// stream engines (mutable buffers) are never shared.
+// engines with mutable state (the planner) are never shared.
 func (m *Manager) worker(id int) {
 	defer m.wg.Done()
 	beat := m.health.workers[id]
 	// Engines are cached per job spec name; the common "" case means
-	// one stream reused across every task this worker ever runs.
+	// one planner reused across every task this worker ever runs.
 	engines := map[string]core.Engine{}
 	for t := range m.tasks {
 		if m.queueDepth != nil {
@@ -759,7 +755,7 @@ func (m *Manager) attemptScan(j *job, eng core.Engine, scan int) (out scanOutcom
 		Engine: eng,
 		// Scans are the unit of parallelism; one row worker per
 		// scan keeps the pool's CPU use at Workers and keeps the
-		// per-worker stream engine single-threaded.
+		// per-worker engine single-threaded.
 		Workers:       1,
 		MinDefectArea: j.spec.MinDefectArea,
 		MaxAlignShift: j.spec.MaxAlignShift,
@@ -926,7 +922,7 @@ func engineName(jobType, name string) string {
 		return "" // docclean has no row-difference engine
 	}
 	if name == "" {
-		return "stream"
+		return sysrle.DefaultEngine
 	}
 	return name
 }

@@ -270,7 +270,7 @@ func TestEngineSelection(t *testing.T) {
 	m := New(Config{Workers: 2, Retention: -1})
 	defer m.Close()
 	var base Status
-	for i, engine := range []string{"", "stream", "lockstep", "sequential", "sparse", "bus"} {
+	for i, engine := range []string{"", "planner", "lockstep", "sequential", "sparse", "bus"} {
 		id, err := m.Submit(Spec{Ref: ref, Scans: []*rle.Image{scan}, Engine: engine})
 		if err != nil {
 			t.Fatalf("%q: %v", engine, err)
@@ -285,7 +285,7 @@ func TestEngineSelection(t *testing.T) {
 		}
 		if st.Results[0].Defects != base.Results[0].Defects ||
 			st.Results[0].DiffPixels != base.Results[0].DiffPixels {
-			t.Errorf("%q disagrees with stream: %+v vs %+v", engine, st.Results[0], base.Results[0])
+			t.Errorf("%q disagrees with the default: %+v vs %+v", engine, st.Results[0], base.Results[0])
 		}
 	}
 }
@@ -389,7 +389,7 @@ func TestDocCleanSubmitValidation(t *testing.T) {
 	cases := []Spec{
 		{Type: TypeDocClean, Scans: []*rle.Image{img}, Ref: img},
 		{Type: TypeDocClean, Scans: []*rle.Image{img}, RefID: "x"},
-		{Type: TypeDocClean, Scans: []*rle.Image{img}, Engine: "stream"},
+		{Type: TypeDocClean, Scans: []*rle.Image{img}, Engine: "lockstep"},
 		{Type: TypeDocClean, Scans: []*rle.Image{img}, Doc: docclean.Config{MinLineLen: -1}},
 		{Type: "transmogrify", Scans: []*rle.Image{img}},
 	}
@@ -404,7 +404,7 @@ func TestDocCleanSubmitValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := waitTerminal(t, m, id); st.Type != TypeInspect || st.Engine != "stream" {
+	if st := waitTerminal(t, m, id); st.Type != TypeInspect || st.Engine != "planner" {
 		t.Errorf("inspect job reported type %q engine %q", st.Type, st.Engine)
 	}
 }

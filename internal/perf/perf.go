@@ -80,7 +80,7 @@ type Measurement struct {
 	// Benchmark is the axis: "DiffImage" or "XORRow".
 	Benchmark string `json:"benchmark"`
 	// Engine is the registry engine name; for DiffImage rows it is
-	// "default" (per-worker streams).
+	// "default" (per-worker planners).
 	Engine string `json:"engine"`
 	// Workload is one of Workloads.
 	Workload string `json:"workload"`

@@ -80,7 +80,7 @@ func TestXORRowAppendSteadyStateZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"lockstep", "sequential", "sparse", "stream"} {
+	for _, name := range []string{"lockstep", "sequential", "sparse"} {
 		eng, err := sysrle.NewEngineByName(name)
 		if err != nil {
 			t.Fatal(err)

@@ -16,8 +16,8 @@
 // append contract: the packed path's word buffers are reused across
 // rows, so a warm engine allocates nothing beyond growing the
 // caller's destination row. Neither engine is safe for concurrent
-// use — like core.Stream, give each worker its own (DiffImage clamps
-// shared instances to one worker).
+// use: both are core.OneMachine, so give each worker its own
+// (core.RowWorkers runs a shared instance on one worker).
 package planner
 
 import (
@@ -62,6 +62,10 @@ func NewPacked() *Packed { return &Packed{} }
 
 // Name implements Engine.
 func (p *Packed) Name() string { return "packed-xor" }
+
+// OneMachine implements core.OneMachine: the word buffers are reused
+// from row to row.
+func (p *Packed) OneMachine() {}
 
 // XORRow implements Engine. The result row is freshly allocated and
 // remains valid after subsequent calls.
@@ -185,6 +189,10 @@ func New(opts ...Option) *Planner {
 
 // Name implements Engine.
 func (p *Planner) Name() string { return "planner" }
+
+// OneMachine implements core.OneMachine: the router's hysteresis and
+// the packed path's buffers carry over from row to row.
+func (p *Planner) OneMachine() {}
 
 // RowsPacked reports how many rows this engine routed to the packed
 // path so far.

@@ -150,7 +150,7 @@ func TestDocCleanJobSubmitErrors(t *testing.T) {
 		name, query string
 	}{
 		{"unknown type", "?type=transmogrify"},
-		{"docclean with engine", "?type=docclean&engine=stream"},
+		{"docclean with engine", "?type=docclean&engine=lockstep"},
 		{"docclean with bad param", "?type=docclean&close-x=-2"},
 		{"docclean with ref id", "?type=docclean&ref=deadbeef"},
 	} {

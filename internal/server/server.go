@@ -21,11 +21,13 @@
 //	POST /v1/diff             → multipart form, files "a" and "b";
 //	                            query: engine=<name> (any registry
 //	                            engine, see sysrle.EngineNames:
-//	                            lockstep|channel|sequential|sparse|
-//	                            stream|bus|verified),
+//	                            planner (default)|lockstep|channel|
+//	                            sequential|sparse|bus|verified|packed;
+//	                            any other name is a 400),
 //	                            format=pbm|pbm-plain|png|rlet|rleb.
 //	                            Response body is the encoded difference image;
-//	                            X-Sysrle-* headers carry engine statistics.
+//	                            X-Sysrle-* headers carry engine statistics
+//	                            (see "Engine statistics" below).
 //	POST /v1/inspect          → multipart form, files "ref" and "scan";
 //	                            query: engine=..., min-area=N, align=N
 //	                            (max registration shift, 0..256).
@@ -86,6 +88,24 @@
 //	                            batch root and the chain link — enough
 //	                            to verify offline against a pinned
 //	                            chain head (auditctl verify-proof).
+//
+// # Engine statistics
+//
+// Every engine returns the same difference image; the engine only
+// changes the cost, which /v1/diff reports in X-Sysrle-Iterations-
+// Total/-Max-Row and X-Sysrle-Cells-Total/-Max-Row (and /v1/inspect
+// and job results in their iteration fields). An iteration is the
+// unit of work of the machine that ran the row. For the systolic
+// engines (engine=lockstep and the other simulators) it is one
+// systolic iteration, the quantity the paper's Figure 5 and Table 1
+// report, and cells is the array size. For the sequential merge it is
+// one merge step. For the default planner it is a merge step on a row
+// routed to the RLE merge and a 64-pixel word on a row routed to the
+// packed XOR, and cells is 0: there is no array. Which route a row
+// takes depends on the previous row's route (hysteresis), so the
+// planner's counts are comparable only across requests that see the
+// same rows in the same order. Ask for engine=lockstep to measure the
+// paper's algorithm.
 //
 // # Durability
 //
@@ -423,7 +443,7 @@ func (s *Server) engineWrapper() func(core.Engine) core.Engine {
 
 // recordEngine feeds one engine run's facade stats into telemetry.
 func (s *Server) recordEngine(engine string, totalIterations, rowsDiffering int) {
-	s.reg.Help("sysrle_engine_iterations_total", "Systolic iterations executed, by engine.")
+	s.reg.Help("sysrle_engine_iterations_total", "Engine iterations executed, by engine: systolic iterations, merge steps or packed words (see the package doc).")
 	eng := telemetry.L("engine", engine)
 	s.reg.Counter("sysrle_engine_iterations_total", eng).Add(int64(totalIterations))
 	s.reg.Counter("sysrle_engine_rows_differing_total", eng).Add(int64(rowsDiffering))
@@ -433,7 +453,7 @@ func (s *Server) recordEngine(engine string, totalIterations, rowsDiffering int)
 // engineFromQuery resolves the engine= query parameter through the
 // facade registry — the single source of engine names shared with the
 // job runner and the CLI tools. Each request gets a fresh engine, so
-// stateful engines (stream, verified) are never shared across
+// stateful engines (planner, packed, verified) are never shared across
 // requests. Engines that export their own telemetry (the planner's
 // per-decision route counters) get the service registry attached.
 func (s *Server) engineFromQuery(r *http.Request) (sysrle.Engine, error) {

@@ -111,6 +111,7 @@ func TestDiffEndpointErrors(t *testing.T) {
 		code  int
 	}{
 		{"bad engine", "/v1/diff?engine=quantum", map[string]*rle.Image{"a": ref, "b": scan}, http.StatusBadRequest},
+		{"removed engine", "/v1/diff?engine=stream", map[string]*rle.Image{"a": ref, "b": scan}, http.StatusBadRequest},
 		{"bad format", "/v1/diff?format=gif", map[string]*rle.Image{"a": ref, "b": scan}, http.StatusBadRequest},
 		{"missing file", "/v1/diff", map[string]*rle.Image{"a": ref}, http.StatusBadRequest},
 		{"size mismatch", "/v1/diff", map[string]*rle.Image{"a": ref, "b": rle.NewImage(4, 4)}, http.StatusUnprocessableEntity},

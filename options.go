@@ -3,7 +3,6 @@ package sysrle
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -13,9 +12,8 @@ import (
 )
 
 // Option configures an image operation such as DiffImage. The zero
-// configuration is the production default: lockstep semantics via
-// per-worker buffer-reusing stream engines, GOMAXPROCS workers,
-// buffer reuse on, no deadline.
+// configuration is the serving default: one hybrid planner engine
+// per worker, GOMAXPROCS workers, buffer reuse on, no deadline.
 type Option func(*config)
 
 type config struct {
@@ -30,12 +28,13 @@ func defaultConfig() config {
 }
 
 // WithEngine selects the row-difference engine. nil (the default)
-// means a per-worker buffer-reusing lockstep stream — identical
-// semantics to the lockstep engine with the fewest allocations. A
-// non-nil engine is shared by every worker, so it must be safe for
-// concurrent use; all engines this package constructs are, and the
-// single-machine ones (NewStream, NewFixedArray) are automatically
-// run with one worker.
+// means one planner per worker (NewPlanner): each row goes to the RLE
+// merge or the packed-word XOR, whichever is cheaper, and the result
+// is byte-identical to every other engine. A non-nil engine is shared
+// by every worker. The engines that are one machine each (NewPlanner,
+// NewPacked, NewFixedArray) then run on one worker; pass nil for
+// row parallelism on the planner, or NewLockstep for the paper's
+// iteration counts.
 func WithEngine(e Engine) Option { return func(c *config) { c.engine = e } }
 
 // WithWorkers bounds the row-level parallelism; n ≤ 0 (the default)
@@ -63,8 +62,8 @@ func WithBufferReuse(enabled bool) Option { return func(c *config) { c.reuse = e
 // DiffImage computes the per-row difference of two equally sized
 // images, fanning rows across a worker pool — the software analogue
 // of the paper's one-systolic-array-per-scanline deployment. Rows of
-// the result are canonical. With no options it uses per-worker
-// lockstep stream engines and GOMAXPROCS workers:
+// the result are canonical. With no options it uses one planner per
+// worker and GOMAXPROCS workers:
 //
 //	diff, stats, err := sysrle.DiffImage(a, b)
 //	diff, stats, err := sysrle.DiffImage(a, b,
@@ -79,22 +78,7 @@ func DiffImage(a, b *Image, opts ...Option) (*Image, *ImageStats, error) {
 	if a.Width != b.Width || a.Height != b.Height {
 		return nil, nil, fmt.Errorf("sysrle: size mismatch %dx%d vs %dx%d", a.Width, a.Height, b.Width, b.Height)
 	}
-	workers := cfg.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > a.Height && a.Height > 0 {
-		workers = a.Height
-	}
-	switch cfg.engine.(type) {
-	case *core.Stream, *core.ChannelArray, *planner.Planner, *planner.Packed:
-		// These engines are one machine each — sharing one across
-		// workers would race on its buffers (and, for the planner, its
-		// hysteresis state). One worker keeps the semantics; callers
-		// wanting row parallelism pass nil (per-worker streams) or a
-		// stateless engine.
-		workers = 1
-	}
+	workers := core.RowWorkers(cfg.engine, cfg.workers, a.Height)
 	// When the shared engine is a Verified, the recovered-fault count
 	// over this image is the counter's growth during the run.
 	var verified *core.Verified
@@ -117,12 +101,9 @@ func DiffImage(a, b *Image, opts ...Option) (*Image, *ImageStats, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// The default engine is a per-worker buffer-reusing
-			// lockstep stream (identical semantics, fewer
-			// allocations).
 			eng := cfg.engine
 			if eng == nil {
-				eng = core.NewStream()
+				eng = planner.New()
 			}
 			arena := rle.NewArena(0)
 			var scratch rle.Row

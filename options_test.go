@@ -31,24 +31,6 @@ func testImagePair(t *testing.T, seed int64) (*Image, *Image) {
 	return a, b
 }
 
-func TestDiffImageOptionsMatchDeprecatedSignature(t *testing.T) {
-	a, b := testImagePair(t, 7)
-	oldDiff, oldStats, err := DiffImageWith(a, b, NewSparse(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newDiff, newStats, err := DiffImage(a, b, WithEngine(NewSparse()), WithWorkers(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !newDiff.Equal(oldDiff) {
-		t.Error("options path and deprecated path disagree on pixels")
-	}
-	if *newStats != *oldStats {
-		t.Errorf("stats disagree: %+v vs %+v", newStats, oldStats)
-	}
-}
-
 func TestDiffImageBufferReuseEquivalence(t *testing.T) {
 	a, b := testImagePair(t, 11)
 	for _, name := range EngineNames() {
@@ -78,7 +60,7 @@ func TestDiffImageBufferReuseEquivalence(t *testing.T) {
 
 func TestDiffImageCellStats(t *testing.T) {
 	a, b := testImagePair(t, 13)
-	_, stats, err := DiffImage(a, b)
+	_, stats, err := DiffImage(a, b, WithEngine(NewLockstep()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,23 +134,25 @@ func (flakyEngine) XORRow(a, b Row) (Result, error) {
 
 func TestDiffImageSingleMachineEnginesClamped(t *testing.T) {
 	a, b := testImagePair(t, 23)
-	// Stream and FixedArray are one machine each; DiffImage must not
-	// race many workers over them even when asked to.
-	stream := NewStream()
-	got, _, err := DiffImage(a, b, WithEngine(stream), WithWorkers(8))
+	// The planner engines and FixedArray are one machine each;
+	// DiffImage must not race many workers over them even when asked
+	// to (run under -race).
+	want, _, err := DiffImage(a, b, WithEngine(NewLockstep()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := DiffImage(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Error("stream engine result differs")
+	for _, e := range []Engine{NewPlanner(), NewPacked()} {
+		got, _, err := DiffImage(a, b, WithEngine(e), WithWorkers(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Errorf("%s result differs", e.Name())
+		}
 	}
 	arr := NewFixedArray(700)
+	got, _, err := DiffImage(a, b, WithEngine(arr), WithWorkers(8))
 	defer arr.Close()
-	got, _, err = DiffImage(a, b, WithEngine(arr), WithWorkers(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,20 +186,20 @@ func TestEngineRegistry(t *testing.T) {
 			defer c.Close()
 		}
 	}
-	for _, want := range []string{"lockstep", "channel", "sequential", "sparse", "stream", "bus", "verified", "packed", "planner"} {
+	for _, want := range []string{"lockstep", "channel", "sequential", "sparse", "bus", "verified", "packed", "planner"} {
 		if !seen[want] {
 			t.Errorf("registry missing %q", want)
 		}
 	}
 	// Stateful engines must be fresh per call, not shared.
-	s1, _ := NewEngineByName("stream")
-	s2, _ := NewEngineByName("stream")
+	s1, _ := NewEngineByName("planner")
+	s2, _ := NewEngineByName("planner")
 	if s1 == s2 {
-		t.Error("NewEngineByName returned a shared stream")
+		t.Error("NewEngineByName returned a shared planner")
 	}
-	// The default: empty name means lockstep.
+	// The default: empty name means the planner.
 	def, err := NewEngineByName("")
-	if err != nil || def.Name() != (core.Lockstep{}).Name() {
+	if err != nil || def.Name() != NewPlanner().Name() || DefaultEngine != "planner" {
 		t.Errorf("default engine = %v, %v", def, err)
 	}
 	// Unknown names fail loudly and list the valid ones.

@@ -23,7 +23,7 @@ type EngineInfo struct {
 var engineRegistry = []EngineInfo{
 	{
 		Name:        "lockstep",
-		Description: "deterministic systolic array sweep (the paper's algorithm; default)",
+		Description: "deterministic systolic array sweep (the paper's algorithm)",
 		New:         func() Engine { return core.Lockstep{} },
 	},
 	{
@@ -42,11 +42,6 @@ var engineRegistry = []EngineInfo{
 		New:         func() Engine { return core.Sparse{} },
 	},
 	{
-		Name:        "stream",
-		Description: "buffer-reusing lockstep engine (one per goroutine; lowest allocation)",
-		New:         func() Engine { return core.NewStream() },
-	},
-	{
 		Name:        "bus",
 		Description: "the paper's §6 broadcast-bus extension (unlimited bandwidth)",
 		New:         func() Engine { return broadcast.Bus{} },
@@ -63,7 +58,7 @@ var engineRegistry = []EngineInfo{
 	},
 	{
 		Name:        "planner",
-		Description: "hybrid per-row router: RLE merge or packed XOR, whichever the calibrated cost model prices cheaper",
+		Description: "hybrid per-row router: RLE merge or packed XOR, whichever the calibrated cost model prices cheaper (default)",
 		New:         func() Engine { return planner.New() },
 	},
 }
@@ -86,13 +81,17 @@ func EngineNames() []string {
 	return names
 }
 
+// DefaultEngine is the registry name of the serving default: the
+// engine the empty name selects.
+const DefaultEngine = "planner"
+
 // NewEngineByName constructs a fresh engine by registry name. The
-// empty name means the default engine, lockstep. Stateful engines
-// ("stream", "verified") are newly constructed on every call, so each
+// empty name means DefaultEngine. Stateful engines ("planner",
+// "packed", "verified") are newly constructed on every call, so each
 // caller gets its own.
 func NewEngineByName(name string) (Engine, error) {
 	if name == "" {
-		name = "lockstep"
+		name = DefaultEngine
 	}
 	for _, e := range engineRegistry {
 		if e.Name == name {

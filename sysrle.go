@@ -8,16 +8,20 @@
 // engines implement it:
 //
 //   - the systolic lockstep engine — the paper's cell array simulated
-//     deterministically (the default);
+//     deterministically;
 //   - the systolic channel engine — the same array with one goroutine
 //     per cell and CSP channels for the shift path;
 //   - the sparse engine — lockstep-identical semantics at simulation
 //     cost proportional to actual data movement;
-//   - the stream engine and the fixed-capacity array — buffer-reusing
-//     and persistent-hardware deployments of the same machine;
+//   - the fixed-capacity array — the persistent-hardware deployment
+//     of the same machine;
 //   - the sequential engine — the paper's §2 merge baseline;
 //   - the broadcast-bus engine — the paper's §6 future-work
-//     extension.
+//     extension;
+//   - the packed-word engine and the hybrid planner, which routes each
+//     row to the RLE merge or the packed XOR, whichever is cheaper —
+//     the §6 representation trade-off made per row, and the serving
+//     default.
 //
 // For similar images the systolic engines converge in time
 // proportional to the difference in run counts between the inputs,
@@ -74,11 +78,6 @@ func NewSequential() Engine { return core.Sequential{} }
 // NewBus returns the §6 broadcast-bus engine; bandwidth is bus
 // transactions per cycle, 0 meaning unlimited.
 func NewBus(bandwidth int) Engine { return broadcast.Bus{Bandwidth: bandwidth} }
-
-// NewStream returns a lockstep engine that reuses its buffers across
-// calls — the lowest-allocation way to push many rows through one
-// engine. Not safe for concurrent use; create one per goroutine.
-func NewStream() Engine { return core.NewStream() }
 
 // NewSparse returns the sparse simulator: lockstep-identical
 // semantics and iteration counts, but simulation cost proportional to
@@ -178,14 +177,6 @@ func MergeImageStats(a, b ImageStats) ImageStats {
 	m.MaxRowIterations = max(a.MaxRowIterations, b.MaxRowIterations)
 	m.MaxRowCells = max(a.MaxRowCells, b.MaxRowCells)
 	return m
-}
-
-// DiffImageWith is DiffImage with a positional engine (nil =
-// lockstep) and worker count (≤ 0 = GOMAXPROCS).
-//
-// Deprecated: use DiffImage with WithEngine and WithWorkers options.
-func DiffImageWith(a, b *Image, engine Engine, workers int) (*Image, *ImageStats, error) {
-	return DiffImage(a, b, WithEngine(engine), WithWorkers(workers))
 }
 
 // Similarity measures re-exported for workload characterization.

@@ -29,7 +29,7 @@ func TestDiffFigure1(t *testing.T) {
 
 func TestAllEngineConstructors(t *testing.T) {
 	a, b, want := paperRows()
-	for _, e := range []Engine{NewLockstep(), NewChannel(), NewSequential(), NewBus(0), NewBus(1), NewSparse(), NewStream()} {
+	for _, e := range []Engine{NewLockstep(), NewChannel(), NewSequential(), NewBus(0), NewBus(1), NewSparse(), NewPacked(), NewPlanner()} {
 		res, err := e.XORRow(a, b)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
@@ -120,21 +120,23 @@ func TestDiffImageWithEnginesAgree(t *testing.T) {
 		}
 		imgB.Rows[y] = XOR(imgB.Rows[y], mask)
 	}
-	base, baseStats, err := DiffImage(imgA, imgB)
+	// Lockstep is pinned wherever iteration counts are compared: the
+	// default planner's counts depend on which path ran each row.
+	base, baseStats, err := DiffImage(imgA, imgB, WithEngine(NewLockstep()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range []Engine{NewChannel(), NewSequential(), NewBus(0)} {
-		got, _, err := DiffImageWith(imgA, imgB, e, 3)
+	for _, e := range []Engine{nil, NewChannel(), NewSequential(), NewBus(0)} {
+		got, _, err := DiffImage(imgA, imgB, WithEngine(e), WithWorkers(3))
 		if err != nil {
-			t.Fatalf("%s: %v", e.Name(), err)
+			t.Fatalf("%v: %v", e, err)
 		}
 		if !got.Equal(base) {
-			t.Errorf("%s image diff differs", e.Name())
+			t.Errorf("%v image diff differs", e)
 		}
 	}
 	// Single worker gives identical results to many workers.
-	one, oneStats, err := DiffImageWith(imgA, imgB, nil, 1)
+	one, oneStats, err := DiffImage(imgA, imgB, WithEngine(NewLockstep()), WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +181,7 @@ func TestDiffImageShortCircuitsOnError(t *testing.T) {
 	a := NewImage(64, height)
 	b := NewImage(64, height)
 	eng := &countingEngine{}
-	if _, _, err := DiffImageWith(a, b, eng, 2); err == nil {
+	if _, _, err := DiffImage(a, b, WithEngine(eng), WithWorkers(2)); err == nil {
 		t.Fatal("failing engine produced no error")
 	}
 	// Without the short-circuit every one of the 4096 rows reaches
