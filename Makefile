@@ -89,9 +89,10 @@ calibrate:
 # The allocation regression gate plus the planner and run-native
 # morphology competitiveness smokes: deterministic allocs/op
 # assertions over the hot paths, the sweep-endpoint wall-clock gate,
-# and the sparse-A4 opening gate (mirrors the ci.yml perf-smoke job).
+# the sparse-A4 opening gate and the row-loop scheduling-overhead
+# gate (mirrors the ci.yml perf-smoke job).
 perf-smoke:
-	$(GO) test -run 'AllocReduction|ZeroAllocs|PlannerSmoke|RunmorphSmoke' -v \
+	$(GO) test -run 'AllocReduction|ZeroAllocs|PlannerSmoke|RunmorphSmoke|SchedulingOverhead' -v \
 		./internal/perf/ ./internal/core/ ./internal/planner/
 
 # Regenerate every paper table and figure (see EXPERIMENTS.md).

@@ -194,6 +194,52 @@ func BenchmarkImageDiff(b *testing.B) {
 	})
 }
 
+// BenchmarkDiffImageSimilar1024 measures the row loop's scheduling
+// cost the way the server pays it: DiffImage on one shared planner
+// (one worker) over a 1024² paper-similar pair, next to a bare
+// XORRowAppend loop over the same rows. internal/perf's
+// TestDiffImageSchedulingOverhead gates the ratio.
+func BenchmarkDiffImageSimilar1024(b *testing.B) {
+	const size = 1024
+	rng := rand.New(rand.NewSource(2029))
+	ref, err := workload.GenerateImage(rng, workload.PaperRow(size, 0.3), size)
+	if err != nil {
+		b.Fatal(err)
+	}
+	scan := ref.Clone()
+	ep := workload.CountForPixelFraction(size, 0.02, 1, 8)
+	for y := range scan.Rows {
+		mask, err := workload.ErrorMask(rng, size, ep)
+		if err != nil {
+			b.Fatal(err)
+		}
+		scan.Rows[y] = rle.XOR(scan.Rows[y], mask)
+	}
+	b.Run("shared-planner", func(b *testing.B) {
+		b.ReportAllocs()
+		eng := NewPlanner()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := DiffImage(ref, scan, WithEngine(eng)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("bare-loop", func(b *testing.B) {
+		b.ReportAllocs()
+		eng := NewPlanner()
+		var scratch Row
+		for i := 0; i < b.N; i++ {
+			for y := range ref.Rows {
+				r, err := core.XORRowAppend(eng, scratch[:0], ref.Rows[y], scan.Rows[y])
+				if err != nil {
+					b.Fatal(err)
+				}
+				scratch = r.Row
+			}
+		}
+	})
+}
+
 // BenchmarkPCBInspection measures the full motivating pipeline:
 // board diff + labeling + classification.
 func BenchmarkPCBInspection(b *testing.B) {

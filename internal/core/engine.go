@@ -39,9 +39,8 @@ type Engine interface {
 // XORRowAppend writes the difference after dst's existing runs,
 // reusing dst's capacity, and the appended runs are already canonical
 // (no separate Canonicalize pass needed). Callers that sweep one
-// scratch row over many row pairs — the whole-image loops in the
-// facade, internal/inspect and ArrayPool — go through this interface
-// via the XORRowAppend helper.
+// scratch row over many row pairs — the whole-image loop XORRows —
+// go through this interface via the XORRowAppend helper.
 type AppendEngine interface {
 	Engine
 	// XORRowAppend computes the image difference of a and b and
@@ -63,7 +62,7 @@ type OneMachine interface {
 // engine e across its workers: n workers (GOMAXPROCS when n ≤ 0), no
 // more than there are rows, and exactly one when e is a OneMachine.
 // It is the single home of that rule; sysrle.DiffImage and
-// inspect.Inspector both size their pools through it. A nil e means
+// inspect.Inspector both size their XORRows calls through it. A nil e means
 // each worker builds its own engine, so n stands.
 func RowWorkers(e Engine, n, rows int) int {
 	if n <= 0 {

@@ -1,16 +1,16 @@
 package core
 
 import (
+	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"sysrle/internal/rle"
 )
 
 // ArrayPool is the deployed-hardware shape of whole-image
 // differencing: a bank of fixed-capacity systolic arrays
-// (ChannelArray) fed scanline pairs. It contrasts with the
+// (ChannelArray), each the engine of one XORRows worker, which claims
+// bands of scanline pairs for it. It contrasts with the
 // single-array alternative (XORImageFlat), which pushes the whole
 // image through one much longer array; the experiments package
 // tabulates the trade-off.
@@ -33,76 +33,16 @@ func NewArrayPool(n, cellsPerArray int) *ArrayPool {
 // Size returns the number of arrays.
 func (p *ArrayPool) Size() int { return len(p.arrays) }
 
-// PoolStats aggregates a whole-image run.
-type PoolStats struct {
-	TotalIterations  int
-	MaxRowIterations int
-	RowsDiffering    int
-}
-
-// XORImage diffs two equally sized images, scanlines distributed
-// over the bank. A row pair exceeding any array's capacity fails
-// with ErrTooWide.
-func (p *ArrayPool) XORImage(a, b *rle.Image) (*rle.Image, *PoolStats, error) {
-	if a.Width != b.Width || a.Height != b.Height {
-		return nil, nil, fmt.Errorf("core: size mismatch %dx%d vs %dx%d", a.Width, a.Height, b.Width, b.Height)
+// XORImage diffs two equally sized images on XORRows, worker w
+// driving array w, so the bank's arrays work on scanlines in
+// parallel. A row pair exceeding an array's capacity fails with
+// ErrTooWide, and the first failing row stops the whole image.
+func (p *ArrayPool) XORImage(a, b *rle.Image) (*rle.Image, *ImageStats, error) {
+	res, err := XORRows(context.Background(), a, b, len(p.arrays), func(w int) Engine { return p.arrays[w] })
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: %w", err)
 	}
-	out := rle.NewImage(a.Width, a.Height)
-	iters := make([]int, a.Height)
-	errs := make([]error, a.Height)
-	rows := make(chan int)
-	// One bad row fails the whole image, so there is no point pushing
-	// the rest of it through the bank: the first failure stops row
-	// distribution and the workers skip whatever was already queued.
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for _, arr := range p.arrays {
-		wg.Add(1)
-		go func(arr *ChannelArray) {
-			defer wg.Done()
-			// Each worker owns one scratch row and one arena: rows
-			// are gathered, canonical, into the scratch and persisted
-			// as exact-size arena slices, instead of allocating a raw
-			// row plus a canonical copy per scanline.
-			arena := rle.NewArena(0)
-			var scratch rle.Row
-			for y := range rows {
-				if failed.Load() {
-					continue
-				}
-				res, err := arr.XORRowAppend(scratch[:0], a.Rows[y], b.Rows[y])
-				if err != nil {
-					errs[y] = err
-					failed.Store(true)
-					continue
-				}
-				scratch = res.Row
-				out.Rows[y] = arena.Persist(scratch)
-				iters[y] = res.Iterations
-			}
-		}(arr)
-	}
-	for y := 0; y < a.Height && !failed.Load(); y++ {
-		rows <- y
-	}
-	close(rows)
-	wg.Wait()
-	for y, err := range errs {
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: row %d: %w", y, err)
-		}
-	}
-	stats := &PoolStats{}
-	for y, n := range iters {
-		stats.TotalIterations += n
-		if n > stats.MaxRowIterations {
-			stats.MaxRowIterations = n
-		}
-		if len(out.Rows[y]) > 0 {
-			stats.RowsDiffering++
-		}
-	}
-	return out, stats, nil
+	return res.Image, res.Stats(), nil
 }
 
 // Close shuts down every array in the bank.

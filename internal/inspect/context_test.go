@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -71,13 +72,41 @@ func TestCompareContextDeadline(t *testing.T) {
 // panic there would be fatal).
 func TestComparePanicEngineFailsComparison(t *testing.T) {
 	ref, scan := twoImages(8)
-	ins := &Inspector{Engine: panicEngine{}, Workers: 2}
-	_, err := ins.Compare(ref, scan)
-	if err == nil {
-		t.Fatal("panicking engine produced a report")
+	for _, workers := range []int{1, 2, 4} {
+		ins := &Inspector{Engine: panicEngine{}, Workers: workers}
+		_, err := ins.Compare(ref, scan)
+		if err == nil {
+			t.Fatalf("workers=%d: panicking engine produced a report", workers)
+		}
+		if !strings.Contains(err.Error(), "row 0: engine panicky panicked") {
+			t.Errorf("workers=%d: err = %v, want a panic error naming row 0", workers, err)
+		}
 	}
-	if !strings.Contains(err.Error(), "panicked") {
-		t.Errorf("err = %v, want a panic error", err)
+}
+
+// countingEngine fails every row and counts how many XORRow calls it
+// receives, to observe the error short-circuit.
+type countingEngine struct{ calls atomic.Int64 }
+
+func (e *countingEngine) Name() string { return "counting-fail" }
+
+func (e *countingEngine) XORRow(a, b rle.Row) (core.Result, error) {
+	e.calls.Add(1)
+	return core.Result{}, errors.New("boom")
+}
+
+func TestCompareShortCircuitsOnError(t *testing.T) {
+	const height = 4096
+	ref, scan := rle.NewImage(64, height), rle.NewImage(64, height)
+	eng := &countingEngine{}
+	if _, err := (&Inspector{Engine: eng, Workers: 2}).Compare(ref, scan); err == nil {
+		t.Fatal("failing engine produced a report")
+	}
+	// Without the short-circuit every one of the 4096 rows reaches
+	// the engine; with it only the rows already in flight when the
+	// first failure lands do.
+	if n := eng.calls.Load(); n >= height/2 {
+		t.Errorf("engine saw %d rows after the first failure; comparison not short-circuited", n)
 	}
 }
 

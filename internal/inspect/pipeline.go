@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"sysrle/internal/core"
 	"sysrle/internal/planner"
@@ -74,17 +73,19 @@ type Inspector struct {
 }
 
 // Compare diffs a scanned board against the reference and returns the
-// classified defect report. Rows are distributed over a worker pool —
-// the software analogue of one systolic array per scanline.
+// classified defect report. Rows run on core.XORRows — the software
+// analogue of one systolic array per scanline.
 func (ins *Inspector) Compare(ref, scan *rle.Image) (*Report, error) {
 	return ins.CompareContext(context.Background(), ref, scan)
 }
 
-// CompareContext is Compare with a deadline: cancellation is observed
-// between rows (cooperatively — a row already inside the engine
-// finishes), and the comparison fails with the context's error. A
-// panicking engine fails the row, and with it the comparison, instead
-// of the process.
+// CompareContext is Compare with a deadline: every row worker checks
+// ctx before starting each row (a row already inside the engine
+// finishes), and the comparison fails with the context's error. The
+// first row whose engine fails or panics stops the comparison, which
+// fails naming the lowest such row instead of crashing the process.
+// One worker (any shared core.OneMachine engine, or Workers: 1) runs
+// on the calling goroutine, rows in order.
 func (ins *Inspector) CompareContext(ctx context.Context, ref, scan *rle.Image) (*Report, error) {
 	if ref.Width != scan.Width || ref.Height != scan.Height {
 		return nil, fmt.Errorf("inspect: size mismatch %dx%d vs %dx%d", ref.Width, ref.Height, scan.Width, scan.Height)
@@ -112,71 +113,29 @@ func (ins *Inspector) CompareContext(ctx context.Context, ref, scan *rle.Image) 
 		return nil, fmt.Errorf("inspect: %w", err)
 	}
 	workers := core.RowWorkers(ins.Engine, ins.Workers, ref.Height)
-
-	diff := rle.NewImage(ref.Width, ref.Height)
-	iterations := make([]int, ref.Height)
-	rowErrs := make([]error, ref.Height)
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Per-worker scratch row and arena: the engine gathers each
-			// row, already canonical, into the reused scratch, and only
-			// the exact-size persisted copy survives — the same
-			// zero-allocation hot path as sysrle.DiffImage.
-			engine := ins.Engine
-			if engine == nil {
-				engine = planner.New()
-			}
-			arena := rle.NewArena(0)
-			var scratch rle.Row
-			for y := range next {
-				if ctx.Err() != nil {
-					continue // drain without computing
-				}
-				res, err := xorRowAppend(engine, scratch[:0], ref.Rows[y], scan.Rows[y])
-				if err != nil {
-					rowErrs[y] = err
-					continue
-				}
-				scratch = res.Row
-				diff.Rows[y] = arena.Persist(scratch)
-				iterations[y] = res.Iterations
-			}
-		}()
-	}
-feed:
-	for y := 0; y < ref.Height; y++ {
-		select {
-		case next <- y:
-		case <-ctx.Done():
-			break feed
+	rows, err := core.XORRows(ctx, ref, scan, workers, func(int) core.Engine {
+		if ins.Engine != nil {
+			return ins.Engine
 		}
-	}
-	close(next)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+		return planner.New()
+	})
+	if err != nil {
 		return nil, fmt.Errorf("inspect: %w", err)
 	}
-	for y, err := range rowErrs {
-		if err != nil {
-			return nil, fmt.Errorf("inspect: row %d: %w", y, err)
-		}
-	}
+	diff := rows.Image
+	stats := rows.Stats()
 
-	rep := &Report{RowsCompared: ref.Height, AlignDX: alignDX, AlignDY: alignDY}
-	for y, row := range diff.Rows {
-		if len(row) > 0 {
-			rep.RowsDiffering++
-		}
+	rep := &Report{
+		RowsCompared:     ref.Height,
+		RowsDiffering:    stats.RowsDiffering,
+		TotalIterations:  stats.TotalIterations,
+		MaxRowIterations: stats.MaxRowIterations,
+		AlignDX:          alignDX,
+		AlignDY:          alignDY,
+	}
+	for _, row := range diff.Rows {
 		rep.DiffRuns += len(row)
 		rep.DiffArea += row.Area()
-		rep.TotalIterations += iterations[y]
-		if iterations[y] > rep.MaxRowIterations {
-			rep.MaxRowIterations = iterations[y]
-		}
 	}
 
 	for _, comp := range Components(diff) {
@@ -198,19 +157,6 @@ feed:
 		return rep.Defects[i].X0 < rep.Defects[j].X0
 	})
 	return rep, nil
-}
-
-// xorRowAppend runs one engine call on the append path, converting a
-// panic into an error. The row workers are plain goroutines: without
-// this, one faulty engine row would crash the whole process, not just
-// the comparison.
-func xorRowAppend(engine core.Engine, dst, a, b rle.Row) (res core.Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("engine %s panicked: %v", engine.Name(), p)
-		}
-	}()
-	return core.XORRowAppend(engine, dst, a, b)
 }
 
 // classify decides a blob's polarity by majority vote of its pixels

@@ -86,12 +86,10 @@ func measureRowNs(eng core.Engine, a, b rle.Row) float64 {
 
 // measureRowsNs times a warm in-order pass over a row set, returning
 // ns per row — the multi-row form keeps routing state (the planner's
-// hysteresis) in its production regime. Minimum of nine repetitions,
-// each long enough to amortise timer granularity and scheduler
-// preemptions.
+// hysteresis) in its production regime.
 func measureRowsNs(eng core.Engine, rowsA, rowsB []rle.Row) float64 {
 	var scratch rle.Row
-	once := func() {
+	return bestNs(func() {
 		for y := range rowsA {
 			r, err := core.XORRowAppend(eng, scratch[:0], rowsA[y], rowsB[y])
 			if err != nil {
@@ -99,7 +97,13 @@ func measureRowsNs(eng core.Engine, rowsA, rowsB []rle.Row) float64 {
 			}
 			scratch = r.Row
 		}
-	}
+	}) / float64(len(rowsA))
+}
+
+// bestNs times one warm call of once: minimum of nine repetitions,
+// each long enough to amortise timer granularity and scheduler
+// preemptions.
+func bestNs(once func()) float64 {
 	once() // warm buffers
 	// Grow the batch until one repetition takes ≥ 1ms.
 	iters := 1
@@ -119,7 +123,7 @@ func measureRowsNs(eng core.Engine, rowsA, rowsB []rle.Row) float64 {
 		for i := 0; i < iters; i++ {
 			once()
 		}
-		ns := float64(time.Since(start).Nanoseconds()) / float64(iters*len(rowsA))
+		ns := float64(time.Since(start).Nanoseconds()) / float64(iters)
 		if rep == 0 || ns < best {
 			best = ns
 		}

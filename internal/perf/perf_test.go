@@ -6,6 +6,7 @@ import (
 
 	"sysrle"
 	"sysrle/internal/core"
+	"sysrle/internal/planner"
 	"sysrle/internal/rle"
 )
 
@@ -222,6 +223,42 @@ func TestPlannerSmokeCompetitive(t *testing.T) {
 			t.Errorf("%s: planner %.0f ns/row not within 10%% of best single engine (sequential %.0f, packed %.0f)",
 				wl, planner, seq, packed)
 		}
+	}
+}
+
+// TestDiffImageSchedulingOverhead is the row-loop gate: on a 1024²
+// paper-similar pair, DiffImage on one shared planner — how the server
+// diffs — must run within 1.25× of a bare XORRowAppend loop over the
+// same rows on the same engine kind. What separates the two is the
+// row loop's scheduling (one worker, run inline) plus persisting the
+// output rows; a hand-off per row roughly doubles it.
+func TestDiffImageSchedulingOverhead(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock gate in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("wall-clock comparisons are meaningless under -race")
+	}
+	const size, attempts = 1024, 4
+	pair, err := GeneratePair("similar", size, size, 2029)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := planner.New()
+	var diff, bare float64
+	ok := false
+	for try := 0; try < attempts && !ok; try++ {
+		diff = bestNs(func() {
+			if _, _, err := sysrle.DiffImage(pair.A, pair.B, sysrle.WithEngine(shared)); err != nil {
+				panic(err) // operands are internally generated and valid
+			}
+		}) / size
+		bare = measureRowsNs(planner.New(), pair.A.Rows, pair.B.Rows)
+		ok = diff <= bare*1.25
+	}
+	t.Logf("shared-planner DiffImage %.0f ns/row, bare XORRowAppend loop %.0f ns/row (%.2f×)", diff, bare, diff/bare)
+	if !ok {
+		t.Errorf("DiffImage %.0f ns/row is over 1.25× the bare row loop's %.0f ns/row", diff, bare)
 	}
 }
 

@@ -2,6 +2,7 @@ package rle
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -16,6 +17,28 @@ type Row []Run
 // well-formed, starts strictly increase, runs do not overlap, and all
 // pixels fall in [0, width).
 func (w Row) Validate(width int) error {
+	// One comparison chain per run. lim is the larger of the previous
+	// run's Start and End (-1 at first), so Start > lim checks the sign,
+	// increasing starts and overlap at once, and agrees with violation
+	// even when End() overflows.
+	maxEnd := width - 1
+	if width < 0 {
+		maxEnd = math.MaxInt
+	}
+	lim := -1
+	for _, r := range w {
+		end := r.End()
+		if r.Start <= lim || r.Length <= 0 || end > maxEnd {
+			return w.violation(width)
+		}
+		lim = max(r.Start, end)
+	}
+	return nil
+}
+
+// violation builds the error for the first run that breaks an
+// invariant Validate checks; it runs only once Validate found one.
+func (w Row) violation(width int) error {
 	for i, r := range w {
 		if !r.Valid() {
 			return fmt.Errorf("rle: run %d %v is malformed", i, r)

@@ -1,6 +1,7 @@
 package rle
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -65,6 +66,83 @@ func TestValidateRejections(t *testing.T) {
 func TestValidateSkipsBoundsWhenNegativeWidth(t *testing.T) {
 	if err := (Row{{1000, 1000}}).Validate(-1); err != nil {
 		t.Errorf("unbounded validate rejected in-variant row: %v", err)
+	}
+}
+
+// validateLoop is Validate as a plain run-by-run loop, kept as the
+// oracle for the one-pass fast path: every verdict and every error
+// string must match it.
+func validateLoop(w Row, width int) error {
+	for i, r := range w {
+		if !r.Valid() {
+			return fmt.Errorf("rle: run %d %v is malformed", i, r)
+		}
+		if width >= 0 && r.End() >= width {
+			return fmt.Errorf("rle: run %d %v exceeds width %d", i, r, width)
+		}
+		if i > 0 {
+			prev := w[i-1]
+			if r.Start <= prev.Start {
+				return fmt.Errorf("rle: run %d %v does not increase after %v", i, r, prev)
+			}
+			if prev.End() >= r.Start {
+				return fmt.Errorf("rle: run %d %v overlaps %v", i, r, prev)
+			}
+		}
+	}
+	return nil
+}
+
+func TestValidateMatchesLoop(t *testing.T) {
+	check := func(row Row, width int) {
+		t.Helper()
+		got, want := row.Validate(width), validateLoop(row, width)
+		if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+			t.Errorf("Validate(%v, %d) = %v, loop says %v", row, width, got, want)
+		}
+	}
+	const maxInt = int(^uint(0) >> 1)
+	cases := []Row{
+		nil,
+		{{-1, 3}},                         // negative start
+		{{5, 0}},                          // zero length
+		{{2, 3}, {5, -1}},                 // negative length after a valid run
+		{{5, 2}, {5, 3}},                  // equal starts
+		{{0, 5}, {4, 2}},                  // overlap
+		{{0, 5}, {5, 2}},                  // adjacent: valid, not canonical
+		{{9, 2}, {3, 3}},                  // decreasing
+		{{0, 31}, {31, 1}},                // ends at width-1: valid
+		{{30, 2}},                         // end == width
+		{{30, 5}},                         // beyond width
+		{{2, maxInt}},                     // Start+Length overflows
+		{{2, maxInt}, {1, 1}},             // overflowed run, then a lower start
+		{{2, maxInt}, {2, 1}},             // overflowed run, then an equal start
+		{{2, maxInt}, {10, 1}},            // overflowed run, then a higher start
+		{{1, maxInt}, {maxInt, 1}},        // End() == MaxInt exactly
+		{{0, 3}, {maxInt - 1, 2}, {4, 1}}, // overflow mid-row
+	}
+	for _, row := range cases {
+		for _, width := range []int{-1, 0, 1, 32, maxInt} {
+			check(row, width)
+		}
+	}
+	rng := rand.New(rand.NewSource(1999))
+	for i := 0; i < 2000; i++ {
+		width := 1 + rng.Intn(200)
+		row := randomRow(rng, width)
+		check(row, width)
+		check(row, -1)
+		if len(row) == 0 {
+			continue
+		}
+		// Perturb one run so it breaks (or, by chance, keeps) an
+		// invariant anywhere in the row.
+		bad := row.Clone()
+		j := rng.Intn(len(bad))
+		bad[j].Start += rng.Intn(21) - 10
+		bad[j].Length += rng.Intn(11) - 5
+		check(bad, width)
+		check(bad, -1)
 	}
 }
 

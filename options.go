@@ -3,12 +3,9 @@ package sysrle
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"sysrle/internal/core"
 	"sysrle/internal/planner"
-	"sysrle/internal/rle"
 )
 
 // Option configures an image operation such as DiffImage. The zero
@@ -41,9 +38,10 @@ func WithEngine(e Engine) Option { return func(c *config) { c.engine = e } }
 // means GOMAXPROCS.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
-// WithContext attaches a cancellation context: cancellation is
-// observed between rows (a row already inside the engine finishes)
-// and the operation fails with the context's error.
+// WithContext attaches a cancellation context. Every row worker
+// checks it before starting each row; a row already inside the engine
+// finishes, no further row starts, and the operation fails with the
+// context's error.
 func WithContext(ctx context.Context) Option {
 	return func(c *config) {
 		if ctx != nil {
@@ -53,17 +51,21 @@ func WithContext(ctx context.Context) Option {
 }
 
 // WithBufferReuse toggles the zero-allocation row path (default on):
-// workers gather each row, already canonical, into a reused scratch
-// buffer and persist exact-size copies through a per-worker arena.
-// Disabling it restores the allocate-per-row path — useful only for
-// benchmarking the difference (see internal/perf).
+// the engine appends each row, already canonical, to the worker's
+// reused scratch row. Disabling it makes every row allocate a fresh
+// result through the engine's XORRow — useful only for benchmarking
+// the difference (see internal/perf).
 func WithBufferReuse(enabled bool) Option { return func(c *config) { c.reuse = enabled } }
 
 // DiffImage computes the per-row difference of two equally sized
-// images, fanning rows across a worker pool — the software analogue
-// of the paper's one-systolic-array-per-scanline deployment. Rows of
-// the result are canonical. With no options it uses one planner per
-// worker and GOMAXPROCS workers:
+// images on core.XORRows — the software analogue of the paper's
+// one-systolic-array-per-scanline deployment. Row workers claim bands
+// of consecutive rows; a single worker (any shared core.OneMachine
+// engine, or WithWorkers(1)) runs on the calling goroutine, rows in
+// order. The first failing or panicking row stops the diff, which
+// fails naming the lowest such row. Rows of the result are canonical.
+// With no options it uses one planner per worker and GOMAXPROCS
+// workers:
 //
 //	diff, stats, err := sysrle.DiffImage(a, b)
 //	diff, stats, err := sysrle.DiffImage(a, b,
@@ -75,9 +77,6 @@ func DiffImage(a, b *Image, opts ...Option) (*Image, *ImageStats, error) {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	if a.Width != b.Width || a.Height != b.Height {
-		return nil, nil, fmt.Errorf("sysrle: size mismatch %dx%d vs %dx%d", a.Width, a.Height, b.Width, b.Height)
-	}
 	workers := core.RowWorkers(cfg.engine, cfg.workers, a.Height)
 	// When the shared engine is a Verified, the recovered-fault count
 	// over this image is the counter's growth during the run.
@@ -87,87 +86,33 @@ func DiffImage(a, b *Image, opts ...Option) (*Image, *ImageStats, error) {
 		verified = v
 		recoveredBase = v.Recovered()
 	}
-	out := rle.NewImage(a.Width, a.Height)
-	iters := make([]int, a.Height)
-	cells := make([]int, a.Height)
-	errs := make([]error, a.Height)
-	rows := make(chan int)
-	// One bad row fails the whole diff, so the first failure stops
-	// row distribution instead of paying engine time for the rest of
-	// a bad image; already-queued rows are skipped.
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			eng := cfg.engine
-			if eng == nil {
-				eng = planner.New()
-			}
-			arena := rle.NewArena(0)
-			var scratch rle.Row
-			for y := range rows {
-				if failed.Load() || cfg.ctx.Err() != nil {
-					continue
-				}
-				var res core.Result
-				var err error
-				if cfg.reuse {
-					res, err = core.XORRowAppend(eng, scratch[:0], a.Rows[y], b.Rows[y])
-				} else {
-					res, err = eng.XORRow(a.Rows[y], b.Rows[y])
-				}
-				if err != nil {
-					errs[y] = err
-					failed.Store(true)
-					continue
-				}
-				if cfg.reuse {
-					scratch = res.Row
-					out.Rows[y] = arena.Persist(scratch)
-				} else {
-					out.Rows[y] = res.Row.Canonicalize()
-				}
-				iters[y] = res.Iterations
-				cells[y] = res.Cells
-			}
-		}()
-	}
-feed:
-	for y := 0; y < a.Height && !failed.Load(); y++ {
-		select {
-		case rows <- y:
-		case <-cfg.ctx.Done():
-			break feed
+	res, err := core.XORRows(cfg.ctx, a, b, workers, func(int) core.Engine {
+		eng := cfg.engine
+		if eng == nil {
+			eng = planner.New()
 		}
-	}
-	close(rows)
-	wg.Wait()
-	if err := cfg.ctx.Err(); err != nil {
+		if !cfg.reuse {
+			eng = allocPerRow{eng}
+		}
+		return eng
+	})
+	if err != nil {
 		return nil, nil, fmt.Errorf("sysrle: %w", err)
 	}
-	for y, err := range errs {
-		if err != nil {
-			return nil, nil, fmt.Errorf("sysrle: row %d: %w", y, err)
-		}
-	}
-	stats := &ImageStats{}
-	for y, n := range iters {
-		stats.TotalIterations += n
-		if n > stats.MaxRowIterations {
-			stats.MaxRowIterations = n
-		}
-		stats.TotalCells += cells[y]
-		if cells[y] > stats.MaxRowCells {
-			stats.MaxRowCells = cells[y]
-		}
-		if len(out.Rows[y]) > 0 {
-			stats.RowsDiffering++
-		}
+	s := res.Stats()
+	stats := &ImageStats{
+		TotalIterations:  s.TotalIterations,
+		MaxRowIterations: s.MaxRowIterations,
+		RowsDiffering:    s.RowsDiffering,
+		TotalCells:       s.TotalCells,
+		MaxRowCells:      s.MaxRowCells,
 	}
 	if verified != nil {
 		stats.FaultsRecovered = int(verified.Recovered() - recoveredBase)
 	}
-	return out, stats, nil
+	return res.Image, stats, nil
 }
+
+// allocPerRow hides an engine's append path, so every row allocates
+// its result through XORRow (WithBufferReuse(false)).
+type allocPerRow struct{ core.Engine }

@@ -191,3 +191,23 @@ func TestDiffImageShortCircuitsOnError(t *testing.T) {
 		t.Errorf("engine saw %d rows after the first failure; distribution not short-circuited", n)
 	}
 }
+
+// panicEngine panics on every row.
+type panicEngine struct{}
+
+func (panicEngine) Name() string { return "panicky" }
+
+func (panicEngine) XORRow(a, b Row) (Result, error) { panic("boom") }
+
+// TestDiffImagePanicEngineFailsRow: a panicking engine fails the diff
+// with an error naming the row, on one worker and on several, instead
+// of crashing the process from a worker goroutine.
+func TestDiffImagePanicEngineFailsRow(t *testing.T) {
+	a := NewImage(64, 100)
+	for _, workers := range []int{1, 4} {
+		_, _, err := DiffImage(a, a, WithEngine(panicEngine{}), WithWorkers(workers))
+		if err == nil || err.Error() != "sysrle: row 0: engine panicky panicked: boom" {
+			t.Errorf("workers=%d: err = %v, want row 0's panic", workers, err)
+		}
+	}
+}
