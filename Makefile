@@ -22,12 +22,14 @@ ci:
 	$(MAKE) perfbench-smoke
 
 # The fault-tolerance suite under the race detector, repeated to
-# shake out timing-dependent interleavings (mirrors the ci.yml chaos
-# job).
+# shake out timing-dependent interleavings, plus the cluster
+# coordinator's chaos, failover and conformance tests (mirrors the
+# ci.yml chaos job).
 chaos:
 	$(GO) test -race -count=3 ./internal/fault/
 	$(GO) test -race -count=3 -run 'Chaos|Fault|Readyz|Retry|Quarantine|Hammer|Stuck|Panic|Verified' \
 		./internal/core/ ./internal/jobs/ ./internal/server/ ./internal/inspect/ ./cmd/sysdiffd/
+	$(GO) test -race -count=3 -run 'Chaos|Killed|Failover|Conformance' ./internal/cluster/
 
 # The durability suite under the race detector: the full storage
 # stack (blob store, WAL, Merkle audit log) plus the crash-recovery

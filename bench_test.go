@@ -18,7 +18,6 @@ import (
 	"sysrle/internal/core"
 	"sysrle/internal/experiments"
 	"sysrle/internal/inspect"
-	"sysrle/internal/morph"
 	"sysrle/internal/rle"
 	"sysrle/internal/workload"
 )
@@ -269,11 +268,11 @@ func BenchmarkMorphology(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, se := range []morph.SE{morph.Box(1), morph.Box(2)} {
+	for _, se := range []SE{Box(1), Box(2)} {
 		b.Run(fmt.Sprintf("open/box=%d", se.Rx), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := morph.Open(img, se); err != nil {
+				if _, err := Open(img, se); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -80,3 +80,21 @@ func ExampleDilate() {
 	// [(3,4)]
 	// [(3,4)]
 }
+
+// Opening removes foreground detail smaller than the structuring
+// element: here a lone speck next to a solid 3-row bar.
+func ExampleOpen() {
+	img := sysrle.NewImage(12, 3)
+	img.SetRow(0, sysrle.Row{{Start: 1, Length: 6}, {Start: 9, Length: 1}}) // bar + speck
+	img.SetRow(1, sysrle.Row{{Start: 1, Length: 6}})
+	img.SetRow(2, sysrle.Row{{Start: 1, Length: 6}})
+	opened, err := sysrle.Open(img, sysrle.Box(1))
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(opened.Rows[0])
+	fmt.Println(opened.Rows[1])
+	// Output:
+	// [(1,6)]
+	// [(1,6)]
+}

@@ -28,6 +28,12 @@
 //     tail-tolerance trick the cluster coordinator leans on against
 //     slow shards (chaos-tested with internal/fault's transport
 //     injector).
+//   - Request-id propagation. A context made by WithRequestID sends
+//     its id as X-Request-Id on every call, so a proxy's peer calls
+//     join the inbound request in the peers' access logs and errors.
+//   - Raw forwarding. Forward sends an inbound request on byte for
+//     byte under the same deadline, retry and hedging rules; the
+//     cluster coordinator relays the answer unchanged.
 //
 // One Client is safe for concurrent use by any number of goroutines.
 package apiclient
@@ -161,6 +167,36 @@ func MustNew(baseURL string, opts Options) *Client {
 
 // BaseURL returns the base URL the client is bound to.
 func (c *Client) BaseURL() string { return c.base }
+
+type requestIDKey struct{}
+
+// WithRequestID returns a context whose calls send id as X-Request-Id.
+func WithRequestID(ctx context.Context, id string) context.Context {
+	return context.WithValue(ctx, requestIDKey{}, id)
+}
+
+// Forward sends an inbound request on to this client's server: the
+// same method, path, query and Content-Type, with body as its bytes
+// (the caller has read r.Body already). Reads and the pure compute
+// endpoints are idempotent, so they retry and hedge like the typed
+// calls; mutations are sent once. A 2xx answer comes back as the live
+// response, which the caller must close; any other status comes back
+// as *Error carrying the raw headers and body.
+func (c *Client) Forward(r *http.Request, body []byte) (*http.Response, error) {
+	ctype := r.Header.Get("Content-Type")
+	return c.do(r.Context(), request{
+		method: r.Method, path: r.URL.EscapedPath(), query: r.URL.Query(),
+		body: func() (io.Reader, string, error) {
+			return bytes.NewReader(body), ctype, nil
+		},
+		idempotent: r.Method == http.MethodGet || computePaths[r.URL.Path],
+	})
+}
+
+// computePaths are the POST endpoints without side effects.
+var computePaths = map[string]bool{
+	"/v1/diff": true, "/v1/inspect": true, "/v1/align": true, "/v1/docclean": true,
+}
 
 // request is one shaped call: everything do needs to build identical
 // HTTP attempts for retries and hedges.
@@ -379,6 +415,9 @@ func (c *Client) issue(ctx context.Context, req request) (*http.Response, error)
 		hr.Header.Set("Content-Type", ctype)
 	}
 	hr.Header.Set("User-Agent", c.opts.UserAgent)
+	if id, _ := ctx.Value(requestIDKey{}).(string); id != "" {
+		hr.Header.Set(requestIDHeaderKey, id)
+	}
 	start := time.Now()
 	resp, err := c.hc.Do(hr)
 	if ob := c.opts.Observe; ob != nil {

@@ -35,6 +35,10 @@ type Error struct {
 	// RequestID is the server-assigned request id, for correlating
 	// with the server's access log.
 	RequestID string
+	// Header and Body are the raw response, for a proxy that relays
+	// the error unchanged.
+	Header http.Header
+	Body   []byte
 }
 
 // Error implements error.
@@ -100,7 +104,8 @@ type envelopeBody struct {
 func decodeError(resp *http.Response) *Error {
 	raw, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBodyBytes))
 	drainClose(resp.Body)
-	e := &Error{Status: resp.StatusCode, RequestID: resp.Header.Get(requestIDHeaderKey)}
+	e := &Error{Status: resp.StatusCode, RequestID: resp.Header.Get(requestIDHeaderKey),
+		Header: resp.Header, Body: raw}
 	var env envelope
 	if err := json.Unmarshal(raw, &env); err == nil && len(env.Error) > 0 {
 		var body envelopeBody

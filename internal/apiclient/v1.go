@@ -89,6 +89,29 @@ func (c *Client) Diff(ctx context.Context, req DiffRequest) (*DiffResult, error)
 	return res, nil
 }
 
+// WriteDiff renders a /v1/diff answer: the difference image in format
+// (one of imageio.Formats), the engine statistics in X-Sysrle-*
+// headers. It is the one rendering of that answer, shared by the
+// shard's handler and the cluster coordinator's scatter path; Diff
+// parses it back.
+func WriteDiff(w http.ResponseWriter, format string, diff *rle.Image, stats sysrle.ImageStats, engine string) {
+	h := w.Header()
+	h.Set("Content-Type", imageio.ContentType(format))
+	h.Set("X-Sysrle-Engine", engine)
+	h.Set("X-Sysrle-Rows-Differing", strconv.Itoa(stats.RowsDiffering))
+	h.Set("X-Sysrle-Iterations-Total", strconv.Itoa(stats.TotalIterations))
+	h.Set("X-Sysrle-Iterations-Max-Row", strconv.Itoa(stats.MaxRowIterations))
+	h.Set("X-Sysrle-Cells-Total", strconv.Itoa(stats.TotalCells))
+	h.Set("X-Sysrle-Cells-Max-Row", strconv.Itoa(stats.MaxRowCells))
+	if stats.FaultsRecovered > 0 {
+		h.Set("X-Sysrle-Faults-Recovered", strconv.Itoa(stats.FaultsRecovered))
+	}
+	h.Set("X-Sysrle-Diff-Pixels", strconv.Itoa(diff.Area()))
+	// With a valid format a write error can only be a broken
+	// connection; nothing useful remains to send.
+	_ = imageio.Write(w, format, diff)
+}
+
 // Defect mirrors the server's defect report entries (inspect.Defect's
 // JSON rendering). Shape stays raw: clients that care about moment
 // descriptors decode it themselves.

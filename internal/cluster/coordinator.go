@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -172,9 +173,9 @@ func New(cfg Config) (*Coordinator, error) {
 		c.reg = telemetry.NewRegistry()
 	}
 	c.reg.Help("sysrle_cluster_ref_route_hits_total",
-		"Ref-routed requests whose ring owner held the reference.")
+		"Requests routed to a reference's owners (ref= calls, reference reads) that an owner answered.")
 	c.reg.Help("sysrle_cluster_ref_route_misses_total",
-		"Ref-routed requests 404ed by the ring owner (placement miss).")
+		"Requests routed to a reference's owners that every owner 404ed (placement miss).")
 	c.reg.Help("sysrle_cluster_scatter_diffs_total",
 		"Diff requests split by row range across shards.")
 	c.reg.Help("sysrle_cluster_rebalance_moved_total",
@@ -376,12 +377,6 @@ func (c *Coordinator) client(peer string) *apiclient.Client {
 	return c.clients[peer]
 }
 
-// ownerClient resolves a placement key to its owning peer's client.
-func (c *Coordinator) ownerClient(key string) (string, *apiclient.Client) {
-	peer := c.ring.Owner(key)
-	return peer, c.client(peer)
-}
-
 // ownerRef is one member of a key's replica set.
 type ownerRef struct {
 	peer string
@@ -410,7 +405,7 @@ func (c *Coordinator) ownerRefs(key string) []ownerRef {
 // definitive if every replica agreed the reference does not exist.
 // The returned peer is the one whose answer (or decisive error) the
 // caller relays.
-func (c *Coordinator) readOwners(key string, fn func(peer string, cl *apiclient.Client) error) (string, error) {
+func (c *Coordinator) readOwners(key string, fn func(cl *apiclient.Client) error) (string, error) {
 	owners := c.ownerRefs(key)
 	var notFoundPeer, failedPeer string
 	var notFound, failed error
@@ -418,7 +413,7 @@ func (c *Coordinator) readOwners(key string, fn func(peer string, cl *apiclient.
 		if o.cl == nil {
 			continue
 		}
-		err := fn(o.peer, o.cl)
+		err := fn(o.cl)
 		if err == nil {
 			if i > 0 {
 				c.failovers.Inc()
@@ -574,7 +569,7 @@ func (c *Coordinator) ejectPeer(peer string) {
 }
 
 // nextClient picks the next peer round-robin, for work with no
-// placement affinity (inline-upload compares, job submission).
+// placement affinity (inline uploads).
 func (c *Coordinator) nextClient() (string, *apiclient.Client) {
 	peers := c.ring.Peers()
 	if len(peers) == 0 {
@@ -601,6 +596,8 @@ func (c *Coordinator) middleware(next http.Handler) http.Handler {
 			r.Header.Set("X-Request-Id", id)
 		}
 		w.Header().Set("X-Request-Id", id)
+		// Every shard call made for this request carries its id.
+		r = r.WithContext(apiclient.WithRequestID(r.Context(), id))
 		start := time.Now()
 		defer func() {
 			if v := recover(); v != nil {
@@ -635,24 +632,33 @@ func writeError(w http.ResponseWriter, status int, code, msg, rid string) {
 	})
 }
 
-// relayError maps a shard-call failure onto the coordinator's own
-// response: API errors pass through status, code and message (the
-// shard already sanitized them); transport failures — a dead or
-// unreachable shard — become 503 unavailable, so a killed shard fails
-// only the requests its ring span owns.
+// relayError answers with a shard-call failure: an API error is the
+// shard's own answer and is relayed unchanged; a transport failure — a
+// dead or unreachable shard — becomes 503 unavailable, so a killed
+// shard fails only the requests its ring span owns.
 func (c *Coordinator) relayError(w http.ResponseWriter, r *http.Request, peer string, err error) {
-	rid := r.Header.Get("X-Request-Id")
 	if ae, ok := apiErr(err); ok {
-		id := ae.RequestID
-		if id == "" {
-			id = rid
-		}
-		writeError(w, ae.Status, ae.Code, ae.Message, id)
+		relay(w, ae.Status, ae.Header, bytes.NewReader(ae.Body))
 		return
 	}
+	rid := r.Header.Get("X-Request-Id")
 	c.log.Warn("peer unreachable", "peer", peerLabel(peer), "err", err, "request_id", rid)
 	writeError(w, http.StatusServiceUnavailable, "unavailable",
 		fmt.Sprintf("shard %s unavailable", peerLabel(peer)), rid)
+}
+
+// relay writes a shard's answer to the client unchanged: status,
+// end-to-end headers and body bytes.
+func relay(w http.ResponseWriter, status int, header http.Header, body io.Reader) {
+	for k, vs := range header {
+		switch k {
+		case "Connection", "Keep-Alive", "Transfer-Encoding", "Trailer", "Upgrade":
+			continue
+		}
+		w.Header()[k] = vs
+	}
+	w.WriteHeader(status)
+	_, _ = io.Copy(w, body)
 }
 
 func apiErr(err error) (*apiclient.Error, bool) {

@@ -403,12 +403,12 @@ func TestSplitRows(t *testing.T) {
 		want               int // band count
 	}{
 		{300, 3, 40, 3},
-		{300, 3, 200, 1},  // cannot give every shard min rows
-		{10, 5, 4, 2},     // fit = 2
-		{0, 3, 1, 1},      // empty image never scatters
-		{300, 1, 1, 1},    // one shard, one band
-		{7, 3, 1, 3},      // remainder folds into the last band
-		{300, 3, 100, 3},  // exactly fits
+		{300, 3, 200, 1}, // cannot give every shard min rows
+		{10, 5, 4, 2},    // fit = 2
+		{0, 3, 1, 1},     // empty image never scatters
+		{300, 1, 1, 1},   // one shard, one band
+		{7, 3, 1, 3},     // remainder folds into the last band
+		{300, 3, 100, 3}, // exactly fits
 	}
 	for _, tc := range cases {
 		got := splitRows(tc.height, tc.bands, tc.min)
@@ -520,5 +520,57 @@ func TestRebalanceEndpointMembershipChange(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(raw, []byte("invalid_argument")) {
 		t.Fatalf("bad-body rebalance: status %d body %s, want 400 invalid_argument", resp.StatusCode, raw)
+	}
+}
+
+// TestCoordinatorOversizeUploads413: an upload over the coordinator's
+// MaxUploadBytes is 413 payload_too_large on every body-carrying path,
+// as it is on a shard.
+func TestCoordinatorOversizeUploads413(t *testing.T) {
+	shards := startShards(t, 2)
+	_, coordURL := startCoordinator(t, Config{Peers: shards, MaxUploadBytes: 1 << 10, Seed: 1})
+	big := func(field string) part { return part{field, field + ".bin", make([]byte, 4<<10)} }
+	for _, tc := range []struct {
+		path  string
+		parts []part
+	}{
+		{"/v1/jobs?ref=0000beef", []part{big("scan")}},
+		{"/v1/references", []part{big("image")}},
+		{"/v1/diff", []part{big("a"), big("b")}},
+	} {
+		got := call(t, http.MethodPost, coordURL+tc.path, "", tc.parts)
+		if code, _, _ := envelope(got.body); got.status != http.StatusRequestEntityTooLarge || code != "payload_too_large" {
+			t.Errorf("POST %s: status %d code %q, want 413 payload_too_large", tc.path, got.status, code)
+		}
+	}
+}
+
+// TestCoordinatorRelaysRetryAfter: a shard's 429 backpressure reaches
+// the client with its Retry-After.
+func TestCoordinatorRelaysRetryAfter(t *testing.T) {
+	srv := server.NewWith(server.Config{JobQueueDepth: 1})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+	_, coordURL := startCoordinator(t, Config{Peers: []string{ts.URL}, Seed: 1})
+	meta, err := apiclient.MustNew(coordURL, apiclient.Options{Seed: 1}).PutReference(context.Background(), genImage(t, 1, 64, 32))
+	if err != nil {
+		t.Fatalf("PutReference: %v", err)
+	}
+	scan := filePart(t, "scan", genImage(t, 2, 64, 32))
+	got := call(t, http.MethodPost, coordURL+"/v1/jobs?ref="+meta.ID, "", []part{scan, scan, scan})
+	if got.status != http.StatusTooManyRequests || got.header.Get("Retry-After") != "1" {
+		t.Fatalf("3-scan job on a depth-1 queue: status %d Retry-After %q, want 429 with Retry-After 1; body %s",
+			got.status, got.header.Get("Retry-After"), got.body)
+	}
+}
+
+// TestCoordinatorRelayedErrorCarriesRequestID: the shard sees the
+// client's request id, so a relayed envelope names it.
+func TestCoordinatorRelayedErrorCarriesRequestID(t *testing.T) {
+	_, coordURL := startCoordinator(t, Config{Peers: startShards(t, 2), Seed: 1})
+	got := call(t, http.MethodGet, coordURL+"/v1/jobs/nope", "r1", nil)
+	if code, rid, _ := envelope(got.body); got.status != http.StatusNotFound || code != "not_found" || rid != "r1" {
+		t.Fatalf("GET /v1/jobs/nope: status %d code %q request_id %q, want 404 not_found r1; body %s",
+			got.status, code, rid, got.body)
 	}
 }

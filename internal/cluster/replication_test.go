@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -262,10 +263,8 @@ func TestCoordinatorFailoverServesKilledShardSpan(t *testing.T) {
 	coord := apiclient.MustNew(coordURL, apiclient.Options{Seed: 1, Retries: -1})
 	ctx := context.Background()
 
-	victim := shards[2]
 	content := map[string][]byte{}
 	ids := make([]string, 0, 16)
-	victimOwned := ""
 	for i := 0; i < 16; i++ {
 		img := genImage(t, int64(600+i), 96, 64)
 		meta, err := coord.PutReference(ctx, img)
@@ -274,15 +273,14 @@ func TestCoordinatorFailoverServesKilledShardSpan(t *testing.T) {
 		}
 		ids = append(ids, meta.ID)
 		content[meta.ID] = canonicalRLEB(t, img)
-		if c.ring.Owner(meta.ID) == victim {
-			victimOwned = meta.ID
-		}
 	}
-	if victimOwned == "" {
-		t.Fatalf("no reference has the victim as primary; enlarge the corpus")
-	}
+	// Placement follows the listeners' random ports, so the victim is
+	// whichever shard is the primary of a stored reference.
+	victimOwned := ids[0]
+	victim := slices.Index(shards, c.ring.Owner(victimOwned))
+	survivors := slices.Delete(slices.Clone(shards), victim, victim+1)
 
-	kill(2)
+	kill(victim)
 
 	// Degraded reads: every reference, including the dead primary's
 	// span, answers byte-identical from a replica. No rebalance has run.
@@ -308,7 +306,7 @@ func TestCoordinatorFailoverServesKilledShardSpan(t *testing.T) {
 	// Membership change + rebalance: the dead peer is dropped (nothing
 	// to evacuate) and every reference is re-replicated onto both
 	// survivors.
-	if err := c.SetPeers(shards[:2]); err != nil {
+	if err := c.SetPeers(survivors); err != nil {
 		t.Fatalf("SetPeers: %v", err)
 	}
 	moved, scanned, err := c.Rebalance(ctx)
@@ -319,7 +317,7 @@ func TestCoordinatorFailoverServesKilledShardSpan(t *testing.T) {
 		t.Fatalf("rebalance repaired nothing though replicas died with the shard (scanned %d)", scanned)
 	}
 	for _, id := range ids {
-		for _, s := range shards[:2] {
+		for _, s := range survivors {
 			cl := apiclient.MustNew(s, apiclient.Options{Seed: 1})
 			if _, err := cl.GetReference(ctx, id); err != nil {
 				t.Fatalf("ref %s missing from survivor %s after repair: %v", id[:12], s, err)

@@ -1,8 +1,12 @@
 package cluster
 
-// The coordinator's HTTP surface. It mirrors the shard v1 API so
-// clients cannot tell a coordinator from a single node, plus two
-// cluster-admin endpoints:
+// The coordinator's HTTP surface. Clients cannot tell it from a single
+// node: every /v1 call that one shard can answer is forwarded to that
+// shard byte for byte (method, path, query, Content-Type, X-Request-Id
+// and body), and the shard's status, headers and body come back
+// unchanged, errors included. The coordinator owns routing, failover
+// and merging; the shard owns every /v1 behaviour. Two cluster-admin
+// endpoints are its own:
 //
 //	GET  /v1/cluster/ring       → membership and vnode count
 //	POST /v1/cluster/rebalance  → optional {"peers":[...]} body applies
@@ -10,37 +14,47 @@ package cluster
 //	                              references move to their ring owner;
 //	                              {"moved": n, "scanned": m, "peers": [...]}
 //
-// Routing policy per endpoint:
+// Every request body is read once, under MaxUploadBytes (413 beyond
+// it), and the same bytes are replayed on each retry and failover.
+// Routing policy:
 //
-//	/v1/diff, /v1/inspect, /v1/align with ?ref=<id>
-//	    → the ring owner of the reference (its decoded cache lives
-//	      there and nowhere else). An owner 404 counts as a placement
-//	      miss in telemetry.
+//	?ref=<id> on /v1/diff, /v1/inspect, /v1/align and /v1/jobs (for
+//	jobs also a "ref" form value), GET /v1/references/{id}[/content]
+//	    → forwarded to the reference's replica set, primary first,
+//	      failing over to the next replica on an unreachable peer, a
+//	      5xx or a 404 (a replica may hold the copy the primary lost).
+//	      Route hits and misses and failovers are counted.
 //	/v1/diff with inline uploads
 //	    → split by row range across every shard when the image is tall
-//	      enough (each band ≥ SplitRows rows), per-band ImageStats
-//	      merged associatively; otherwise round-robin to one shard.
-//	/v1/inspect, /v1/align, /v1/docclean with inline uploads
-//	    → round-robin (defect grouping crosses rows, so these never
-//	      split).
-//	/v1/references
-//	    → placed by content id: POST hashes the canonical RLEB locally
-//	      and forwards to the owner; GET list scatter-gathers all
-//	      shards; id-addressed calls go to the owner.
-//	/v1/jobs
-//	    → submission follows the reference owner (ref jobs) or
-//	      round-robin (inline/docclean jobs); id-addressed reads
-//	      scatter to every shard and the one that knows the id answers.
+//	      enough (each band ≥ SplitRows rows): the one call decoded
+//	      here, per-band ImageStats merged associatively. Anything
+//	      else, including an upload that does not decode, is forwarded
+//	      whole, round-robin.
+//	/v1/inspect, /v1/align, /v1/docclean, /v1/jobs with inline uploads
+//	    → forwarded round-robin (defect grouping crosses rows, so these
+//	      never split).
+//	GET, DELETE /v1/jobs/{id}
+//	    → tried on each shard in ring order until one does not 404:
+//	      job ids are shard-local.
+//	POST /v1/references
+//	    → decoded once to compute the content id, then the raw body is
+//	      forwarded to every owner (quorum = all).
+//	GET /v1/references, GET /v1/jobs, DELETE /v1/references/{id},
+//	GET /readyz
+//	    → asked of every relevant shard and merged.
 //	/v1/audit
 //	    → 404: the audit chain is a per-shard artifact, query shards.
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"mime"
+	"mime/multipart"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 
 	"sysrle"
@@ -49,6 +63,10 @@ import (
 	"sysrle/internal/refstore"
 	"sysrle/internal/rle"
 )
+
+// multipartMemory is the in-memory threshold for the forms the
+// coordinator parses itself; larger parts spill to temp files.
+const multipartMemory = 8 << 20
 
 func (c *Coordinator) routes() http.Handler {
 	mux := http.NewServeMux()
@@ -66,18 +84,18 @@ func (c *Coordinator) routes() http.Handler {
 		_ = c.reg.WriteJSON(w)
 	})
 	mux.HandleFunc("POST /v1/diff", c.handleDiff)
-	mux.HandleFunc("POST /v1/inspect", c.handleInspect)
-	mux.HandleFunc("POST /v1/align", c.handleAlign)
-	mux.HandleFunc("POST /v1/docclean", c.handleDocClean)
+	mux.HandleFunc("POST /v1/inspect", c.handleForward)
+	mux.HandleFunc("POST /v1/align", c.handleForward)
+	mux.HandleFunc("POST /v1/docclean", c.handleForward)
 	mux.HandleFunc("POST /v1/references", c.handleRefPut)
 	mux.HandleFunc("GET /v1/references", c.handleRefList)
-	mux.HandleFunc("GET /v1/references/{id}", c.handleRefGet)
-	mux.HandleFunc("GET /v1/references/{id}/content", c.handleRefContent)
+	mux.HandleFunc("GET /v1/references/{id}", c.handleRefRead)
+	mux.HandleFunc("GET /v1/references/{id}/content", c.handleRefRead)
 	mux.HandleFunc("DELETE /v1/references/{id}", c.handleRefDelete)
 	mux.HandleFunc("POST /v1/jobs", c.handleJobSubmit)
 	mux.HandleFunc("GET /v1/jobs", c.handleJobList)
-	mux.HandleFunc("GET /v1/jobs/{id}", c.handleJobGet)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", c.handleJobDelete)
+	mux.HandleFunc("GET /v1/jobs/{id}", c.handleJobByID)
+	mux.HandleFunc("DELETE /v1/jobs/{id}", c.handleJobByID)
 	mux.HandleFunc("GET /v1/audit", func(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "not_found",
 			"audit logs are per-shard; query the shards directly", r.Header.Get("X-Request-Id"))
@@ -87,42 +105,126 @@ func (c *Coordinator) routes() http.Handler {
 	return mux
 }
 
-// formImages parses the multipart form and decodes the named file
-// parts; missing names simply come back absent from the map.
-func (c *Coordinator) formImages(w http.ResponseWriter, r *http.Request, names ...string) (map[string]*rle.Image, bool) {
-	rid := r.Header.Get("X-Request-Id")
-	r.Body = http.MaxBytesReader(w, r.Body, c.cfg.MaxUploadBytes)
-	if err := r.ParseMultipartForm(8 << 20); err != nil {
-		status := http.StatusBadRequest
-		code := "invalid_argument"
-		if _, ok := err.(*http.MaxBytesError); ok {
+// readBody buffers the request body under MaxUploadBytes, answering
+// 413 itself beyond it, and rewinds r.Body over the same bytes for the
+// handlers that parse the form.
+func (c *Coordinator) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.MaxUploadBytes))
+	if err != nil {
+		status, code := http.StatusBadRequest, "invalid_argument"
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
 			status, code = http.StatusRequestEntityTooLarge, "payload_too_large"
 		}
-		writeError(w, status, code, fmt.Sprintf("parsing multipart form: %v", err), rid)
+		writeError(w, status, code, fmt.Sprintf("reading body: %v", err), r.Header.Get("X-Request-Id"))
 		return nil, false
 	}
-	out := make(map[string]*rle.Image, len(names))
-	for _, name := range names {
-		fhs := r.MultipartForm.File[name]
-		if len(fhs) == 0 {
-			continue
-		}
-		f, err := fhs[0].Open()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid_argument",
-				fmt.Sprintf("opening %q upload: %v", name, err), rid)
-			return nil, false
-		}
-		img, err := imageio.Read(f)
-		f.Close()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid_argument",
-				fmt.Sprintf("decoding %q upload: %v", name, err), rid)
-			return nil, false
-		}
-		out[name] = img
+	r.Body = io.NopCloser(bytes.NewReader(body))
+	return body, true
+}
+
+// formImage decodes one file part of the buffered multipart body.
+func formImage(r *http.Request, field string) (*rle.Image, error) {
+	f, _, err := r.FormFile(field)
+	if err != nil {
+		return nil, err
 	}
-	return out, true
+	defer f.Close()
+	return imageio.Read(f)
+}
+
+// formValue scans the buffered multipart body for a plain form field,
+// skipping file parts unread.
+func formValue(r *http.Request, field string) string {
+	_, params, err := mime.ParseMediaType(r.Header.Get("Content-Type"))
+	if err != nil {
+		return ""
+	}
+	mr := multipart.NewReader(r.Body, params["boundary"])
+	for {
+		p, err := mr.NextPart()
+		if err != nil {
+			return ""
+		}
+		if p.FormName() == field && p.FileName() == "" {
+			v, _ := io.ReadAll(io.LimitReader(p, 1<<10))
+			return string(v)
+		}
+	}
+}
+
+// forward relays a buffered call to one shard: the owners of ref when
+// it names one, else the next shard round-robin.
+func (c *Coordinator) forward(w http.ResponseWriter, r *http.Request, body []byte, ref string) {
+	var resp *http.Response
+	var peer string
+	var err error
+	if ref == "" {
+		var cl *apiclient.Client
+		peer, cl = c.nextClient()
+		resp, err = cl.Forward(r, body)
+	} else {
+		peer, err = c.readOwners(ref, func(cl *apiclient.Client) (err error) {
+			resp, err = cl.Forward(r, body)
+			return err
+		})
+		switch {
+		case err == nil:
+			c.routeHits.Inc()
+		case apiclient.IsNotFound(err):
+			c.routeMisses.Inc()
+		}
+	}
+	if err != nil {
+		c.relayError(w, r, peer, err)
+		return
+	}
+	defer resp.Body.Close()
+	relay(w, resp.StatusCode, resp.Header, resp.Body)
+}
+
+// handleForward serves inspect, align and docclean.
+func (c *Coordinator) handleForward(w http.ResponseWriter, r *http.Request) {
+	if body, ok := c.readBody(w, r); ok {
+		c.forward(w, r, body, r.URL.Query().Get("ref"))
+	}
+}
+
+func (c *Coordinator) handleRefRead(w http.ResponseWriter, r *http.Request) {
+	c.forward(w, r, nil, r.PathValue("id"))
+}
+
+// handleJobSubmit follows the reference named in the query or the form
+// to its owners; jobs with an inline reference go round-robin.
+func (c *Coordinator) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
+	body, ok := c.readBody(w, r)
+	if !ok {
+		return
+	}
+	ref := r.URL.Query().Get("ref")
+	if ref == "" {
+		ref = formValue(r, "ref")
+	}
+	c.forward(w, r, body, ref)
+}
+
+// handleJobByID asks each shard in ring order until one knows the job:
+// job ids are shard-local, so exactly one shard should claim any id.
+func (c *Coordinator) handleJobByID(w http.ResponseWriter, r *http.Request) {
+	var peer string
+	var err error
+	for _, peer = range c.ring.Peers() {
+		var resp *http.Response
+		if resp, err = c.client(peer).Forward(r, nil); err == nil {
+			relay(w, resp.StatusCode, resp.Header, resp.Body)
+			resp.Body.Close()
+			return
+		}
+		if !apiclient.IsNotFound(err) {
+			break
+		}
+	}
+	c.relayError(w, r, peer, err)
 }
 
 // splitRows divides height rows into at most bands contiguous
@@ -161,88 +263,58 @@ func band(img *rle.Image, lo, hi int) *rle.Image {
 }
 
 func (c *Coordinator) handleDiff(w http.ResponseWriter, r *http.Request) {
-	rid := r.Header.Get("X-Request-Id")
-	q := r.URL.Query()
-	engine := q.Get("engine")
-	format := q.Get("format")
-	if format == "" {
-		format = "pbm"
-	}
-	if !validFormat(format) {
-		writeError(w, http.StatusBadRequest, "invalid_argument",
-			fmt.Sprintf("unknown format %q (have %v)", format, imageio.Formats()), rid)
-		return
-	}
-
-	// Ref-routed: the call goes to the reference's ring owner, failing
-	// over along its replica set when the owner is dead or missed.
-	if refID := q.Get("ref"); refID != "" {
-		images, ok := c.formImages(w, r, "b")
-		if !ok {
-			return
-		}
-		b := images["b"]
-		if b == nil {
-			writeError(w, http.StatusBadRequest, "invalid_argument", `no "b" upload in form`, rid)
-			return
-		}
-		var res *apiclient.DiffResult
-		peer, err := c.readOwners(refID, func(_ string, cl *apiclient.Client) error {
-			got, derr := cl.Diff(r.Context(), apiclient.DiffRequest{RefID: refID, B: b, Engine: engine})
-			if derr != nil {
-				return derr
-			}
-			res = got
-			return nil
-		})
-		if err != nil {
-			if apiclient.IsNotFound(err) {
-				c.routeMisses.Inc()
-			}
-			c.relayError(w, r, peer, err)
-			return
-		}
-		c.routeHits.Inc()
-		c.writeDiff(w, format, res.Image, res.Stats, res.Engine)
-		return
-	}
-
-	images, ok := c.formImages(w, r, "a", "b")
+	body, ok := c.readBody(w, r)
 	if !ok {
 		return
 	}
-	a, b := images["a"], images["b"]
-	if a == nil || b == nil {
-		writeError(w, http.StatusBadRequest, "invalid_argument", `form needs "a" and "b" uploads`, rid)
+	if ref := r.URL.Query().Get("ref"); ref != "" {
+		c.forward(w, r, body, ref)
 		return
 	}
-	if a.Width != b.Width || a.Height != b.Height {
-		writeError(w, http.StatusUnprocessableEntity, "unprocessable",
-			fmt.Sprintf("size mismatch: %dx%d vs %dx%d", a.Width, a.Height, b.Width, b.Height), rid)
+	if a, b, bands := c.diffBands(r); len(bands) > 1 {
+		c.scatterDiff(w, r, a, b, bands)
 		return
 	}
+	c.forward(w, r, body, "")
+}
 
-	peers := c.ring.Peers()
-	bands := [][2]int{{0, a.Height}}
-	if c.cfg.SplitRows > 0 {
-		bands = splitRows(a.Height, len(peers), c.cfg.SplitRows)
+// diffBands decodes an inline diff to learn its height and splits it
+// into one row band per shard. Whatever cannot be split — one shard, a
+// short image, a bad format, an upload that does not decode, a size
+// mismatch — comes back as no bands, and the caller forwards the
+// request whole so the answer or error is the shard's own.
+func (c *Coordinator) diffBands(r *http.Request) (a, b *rle.Image, bands [][2]int) {
+	peers := len(c.ring.Peers())
+	format := r.URL.Query().Get("format")
+	if c.cfg.SplitRows <= 0 || peers < 2 || (format != "" && !imageio.IsFormat(format)) {
+		return nil, nil, nil
 	}
-	if len(bands) == 1 {
-		peer, cl := c.nextClient()
-		res, err := cl.Diff(r.Context(), apiclient.DiffRequest{A: a, B: b, Engine: engine})
-		if err != nil {
-			c.relayError(w, r, peer, err)
-			return
-		}
-		c.writeDiff(w, format, res.Image, res.Stats, res.Engine)
-		return
+	if err := r.ParseMultipartForm(multipartMemory); err != nil {
+		return nil, nil, nil
 	}
+	defer r.MultipartForm.RemoveAll()
+	a, err := formImage(r, "a")
+	if err != nil {
+		return nil, nil, nil
+	}
+	if bands = splitRows(a.Height, peers, c.cfg.SplitRows); len(bands) < 2 {
+		return nil, nil, nil
+	}
+	b, err = formImage(r, "b")
+	if err != nil || a.Width != b.Width || a.Height != b.Height {
+		return nil, nil, nil
+	}
+	return a, b, bands
+}
 
-	// Scatter: band i → shard i, all in flight at once; gather rows in
-	// band order and fold the per-band stats with the associative
-	// merge. Row difference is row-independent, so the stitched result
-	// is byte-identical to a single-node diff.
+// scatterDiff sends band i to shard i, all in flight at once, gathers
+// rows in band order and folds the per-band stats with the associative
+// merge. Row difference is row-independent, so the stitched result is
+// byte-identical to a single-node diff.
+func (c *Coordinator) scatterDiff(w http.ResponseWriter, r *http.Request, a, b *rle.Image, bands [][2]int) {
 	c.scatterDiffs.Inc()
+	engine := r.URL.Query().Get("engine")
+	peers := c.ring.Peers()
 	type bandResult struct {
 		res  *apiclient.DiffResult
 		peer string
@@ -275,214 +347,79 @@ func (c *Coordinator) handleDiff(w http.ResponseWriter, r *http.Request) {
 		stats = sysrle.MergeImageStats(stats, br.res.Stats)
 		engineName = br.res.Engine
 	}
-	c.writeDiff(w, format, stitched, stats, engineName)
+	format := r.URL.Query().Get("format")
+	if format == "" {
+		format = "pbm"
+	}
+	apiclient.WriteDiff(w, format, stitched, stats, engineName)
 }
 
-// writeDiff renders a diff response exactly as a shard would: the
-// image in the requested format, statistics in X-Sysrle-* headers.
-func (c *Coordinator) writeDiff(w http.ResponseWriter, format string, diff *rle.Image, stats sysrle.ImageStats, engine string) {
-	w.Header().Set("Content-Type", imageio.ContentType(format))
-	w.Header().Set("X-Sysrle-Engine", engine)
-	w.Header().Set("X-Sysrle-Rows-Differing", strconv.Itoa(stats.RowsDiffering))
-	w.Header().Set("X-Sysrle-Iterations-Total", strconv.Itoa(stats.TotalIterations))
-	w.Header().Set("X-Sysrle-Iterations-Max-Row", strconv.Itoa(stats.MaxRowIterations))
-	w.Header().Set("X-Sysrle-Cells-Total", strconv.Itoa(stats.TotalCells))
-	w.Header().Set("X-Sysrle-Cells-Max-Row", strconv.Itoa(stats.MaxRowCells))
-	if stats.FaultsRecovered > 0 {
-		w.Header().Set("X-Sysrle-Faults-Recovered", strconv.Itoa(stats.FaultsRecovered))
-	}
-	w.Header().Set("X-Sysrle-Diff-Pixels", strconv.Itoa(diff.Area()))
-	_ = imageio.Write(w, format, diff)
-}
-
-func validFormat(format string) bool {
-	for _, f := range imageio.Formats() {
-		if f == format {
-			return true
-		}
-	}
-	return false
-}
-
-func (c *Coordinator) handleInspect(w http.ResponseWriter, r *http.Request) {
-	rid := r.Header.Get("X-Request-Id")
-	q := r.URL.Query()
-	req := apiclient.InspectRequest{Engine: q.Get("engine"), RefID: q.Get("ref")}
-	req.MinDefectArea, _ = strconv.Atoi(q.Get("min-area"))
-	req.MaxAlignShift, _ = strconv.Atoi(q.Get("align"))
-	images, ok := c.formImages(w, r, "ref", "scan")
-	if !ok {
-		return
-	}
-	req.Scan = images["scan"]
-	if req.Scan == nil {
-		writeError(w, http.StatusBadRequest, "invalid_argument", `no "scan" upload in form`, rid)
-		return
-	}
-	var rep *apiclient.InspectReport
-	var peer string
-	var err error
-	if req.RefID != "" {
-		peer, err = c.readOwners(req.RefID, func(_ string, cl *apiclient.Client) error {
-			got, ierr := cl.Inspect(r.Context(), req)
-			if ierr != nil {
-				return ierr
-			}
-			rep = got
-			return nil
-		})
-	} else {
-		req.Ref = images["ref"]
-		if req.Ref == nil {
-			writeError(w, http.StatusBadRequest, "invalid_argument", `form needs a "ref" upload or ?ref=<id>`, rid)
-			return
-		}
-		var cl *apiclient.Client
-		peer, cl = c.nextClient()
-		rep, err = cl.Inspect(r.Context(), req)
-	}
-	if err != nil {
-		if req.RefID != "" && apiclient.IsNotFound(err) {
-			c.routeMisses.Inc()
-		}
-		c.relayError(w, r, peer, err)
-		return
-	}
-	if req.RefID != "" {
-		c.routeHits.Inc()
-	}
-	writeJSON(w, http.StatusOK, rep)
-}
-
-func (c *Coordinator) handleAlign(w http.ResponseWriter, r *http.Request) {
-	rid := r.Header.Get("X-Request-Id")
-	q := r.URL.Query()
-	req := apiclient.AlignRequest{RefID: q.Get("ref")}
-	req.MaxShift, _ = strconv.Atoi(q.Get("max-shift"))
-	images, ok := c.formImages(w, r, "ref", "scan")
-	if !ok {
-		return
-	}
-	req.Scan = images["scan"]
-	if req.Scan == nil {
-		writeError(w, http.StatusBadRequest, "invalid_argument", `no "scan" upload in form`, rid)
-		return
-	}
-	var res *apiclient.AlignResult
-	var peer string
-	var err error
-	if req.RefID != "" {
-		peer, err = c.readOwners(req.RefID, func(_ string, cl *apiclient.Client) error {
-			got, aerr := cl.Align(r.Context(), req)
-			if aerr != nil {
-				return aerr
-			}
-			res = got
-			return nil
-		})
-	} else {
-		req.Ref = images["ref"]
-		if req.Ref == nil {
-			writeError(w, http.StatusBadRequest, "invalid_argument", `form needs a "ref" upload or ?ref=<id>`, rid)
-			return
-		}
-		var cl *apiclient.Client
-		peer, cl = c.nextClient()
-		res, err = cl.Align(r.Context(), req)
-	}
-	if err != nil {
-		if req.RefID != "" && apiclient.IsNotFound(err) {
-			c.routeMisses.Inc()
-		}
-		c.relayError(w, r, peer, err)
-		return
-	}
-	if req.RefID != "" {
-		c.routeHits.Inc()
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-func (c *Coordinator) handleDocClean(w http.ResponseWriter, r *http.Request) {
-	rid := r.Header.Get("X-Request-Id")
-	q := r.URL.Query()
-	if q.Get("format") != "" {
-		writeError(w, http.StatusBadRequest, "invalid_argument",
-			"the coordinator serves docclean JSON reports only; request image output from a shard", rid)
-		return
-	}
-	images, ok := c.formImages(w, r, "image")
-	if !ok {
-		return
-	}
-	img := images["image"]
-	if img == nil {
-		writeError(w, http.StatusBadRequest, "invalid_argument", `no "image" upload in form`, rid)
-		return
-	}
-	req := apiclient.DocCleanRequest{Image: img, KeepLines: q.Get("keep-lines") != ""}
-	req.MaxSpeckleArea, _ = strconv.Atoi(q.Get("max-speckle"))
-	req.MinLineLen, _ = strconv.Atoi(q.Get("min-line"))
-	req.CloseGapX, _ = strconv.Atoi(q.Get("close-x"))
-	req.CloseGapY, _ = strconv.Atoi(q.Get("close-y"))
-	req.MinBlockArea, _ = strconv.Atoi(q.Get("min-block"))
-	peer, cl := c.nextClient()
-	rep, err := cl.DocClean(r.Context(), req)
-	if err != nil {
-		c.relayError(w, r, peer, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, rep)
-}
-
+// handleRefPut places a reference by content id: the upload is decoded
+// once to compute the id, then the raw body goes to every ring owner
+// concurrently, and all of them must accept it (quorum = all). Content
+// addressing makes the write idempotent — a partial write retried by
+// the client re-registers the already-placed copies as no-ops, so
+// there is no partial-failure cleanup to do here. An upload the
+// coordinator cannot place is forwarded to one shard, whose error is
+// the answer.
 func (c *Coordinator) handleRefPut(w http.ResponseWriter, r *http.Request) {
-	rid := r.Header.Get("X-Request-Id")
-	images, ok := c.formImages(w, r, "image")
+	body, ok := c.readBody(w, r)
 	if !ok {
 		return
 	}
-	img := images["image"]
-	if img == nil {
-		writeError(w, http.StatusBadRequest, "invalid_argument", `no "image" upload in form`, rid)
-		return
-	}
-	id, err := refstore.ContentID(img)
+	id, err := uploadID(r)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "unprocessable", err.Error(), rid)
+		c.forward(w, r, body, "")
 		return
 	}
-	// Replicated write: fan out to every ring owner concurrently and
-	// require all of them (quorum = all). Content addressing makes the
-	// whole operation idempotent — a partial write retried by the client
-	// re-registers the already-placed copies as no-ops, so there is no
-	// partial-failure cleanup to do here.
 	owners := c.ownerRefs(id)
 	if len(owners) == 0 {
-		writeError(w, http.StatusServiceUnavailable, "unavailable", "no shards in the ring", rid)
+		writeError(w, http.StatusServiceUnavailable, "unavailable", "no shards in the ring", r.Header.Get("X-Request-Id"))
 		return
 	}
 	type putResult struct {
-		meta *apiclient.RefMeta
+		resp *http.Response
 		err  error
 	}
 	results := make([]putResult, len(owners))
 	var wg sync.WaitGroup
 	for i, o := range owners {
 		wg.Add(1)
-		go func(i int, o ownerRef) {
+		go func(i int, cl *apiclient.Client) {
 			defer wg.Done()
-			meta, perr := o.cl.PutReference(r.Context(), img)
-			results[i] = putResult{meta, perr}
-		}(i, o)
+			resp, err := cl.Forward(r, body)
+			results[i] = putResult{resp, err}
+		}(i, o.cl)
 	}
 	wg.Wait()
+	defer func() {
+		for _, res := range results {
+			if res.resp != nil {
+				res.resp.Body.Close()
+			}
+		}
+	}()
 	for i, res := range results {
 		if res.err != nil {
 			c.relayError(w, r, owners[i].peer, res.err)
 			return
 		}
 	}
-	writeJSON(w, http.StatusCreated, results[0].meta)
+	relay(w, results[0].resp.StatusCode, results[0].resp.Header, results[0].resp.Body)
+}
+
+// uploadID decodes the "image" upload of a reference put and returns
+// its content id.
+func uploadID(r *http.Request) (string, error) {
+	if err := r.ParseMultipartForm(multipartMemory); err != nil {
+		return "", err
+	}
+	defer r.MultipartForm.RemoveAll()
+	img, err := formImage(r, "image")
+	if err != nil {
+		return "", err
+	}
+	return refstore.ContentID(img)
 }
 
 func (c *Coordinator) handleRefList(w http.ResponseWriter, r *http.Request) {
@@ -525,43 +462,6 @@ func (c *Coordinator) handleRefList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"references": all})
 }
 
-func (c *Coordinator) handleRefGet(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	var meta *apiclient.RefMeta
-	peer, err := c.readOwners(id, func(_ string, cl *apiclient.Client) error {
-		got, gerr := cl.GetReference(r.Context(), id)
-		if gerr != nil {
-			return gerr
-		}
-		meta = got
-		return nil
-	})
-	if err != nil {
-		c.relayError(w, r, peer, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, meta)
-}
-
-func (c *Coordinator) handleRefContent(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	var img *rle.Image
-	peer, err := c.readOwners(id, func(_ string, cl *apiclient.Client) error {
-		got, gerr := cl.ReferenceContent(r.Context(), id)
-		if gerr != nil {
-			return gerr
-		}
-		img = got
-		return nil
-	})
-	if err != nil {
-		c.relayError(w, r, peer, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	_ = imageio.Write(w, "rleb", img)
-}
-
 // handleRefDelete removes the reference from every ring owner. A 404
 // from an individual owner is fine (a replica may have died and been
 // repaired elsewhere); only if every owner 404s does the delete itself
@@ -594,75 +494,6 @@ func (c *Coordinator) handleRefDelete(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-func (c *Coordinator) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	rid := r.Header.Get("X-Request-Id")
-	q := r.URL.Query()
-	req := apiclient.JobRequest{Type: q.Get("type"), Engine: q.Get("engine")}
-	req.MinDefectArea, _ = strconv.Atoi(q.Get("min-area"))
-	req.MaxAlignShift, _ = strconv.Atoi(q.Get("align"))
-	req.DocClean.KeepLines = q.Get("keep-lines") != ""
-	req.DocClean.MaxSpeckleArea, _ = strconv.Atoi(q.Get("max-speckle"))
-	req.DocClean.MinLineLen, _ = strconv.Atoi(q.Get("min-line"))
-	req.DocClean.CloseGapX, _ = strconv.Atoi(q.Get("close-x"))
-	req.DocClean.CloseGapY, _ = strconv.Atoi(q.Get("close-y"))
-	req.DocClean.MinBlockArea, _ = strconv.Atoi(q.Get("min-block"))
-
-	r.Body = http.MaxBytesReader(w, r.Body, c.cfg.MaxUploadBytes)
-	if err := r.ParseMultipartForm(8 << 20); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_argument",
-			fmt.Sprintf("parsing multipart form: %v", err), rid)
-		return
-	}
-	req.RefID = q.Get("ref")
-	if req.RefID == "" {
-		if vs := r.MultipartForm.Value["ref"]; len(vs) > 0 {
-			req.RefID = vs[0]
-		}
-	}
-	for _, fh := range r.MultipartForm.File["scan"] {
-		f, err := fh.Open()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid_argument",
-				fmt.Sprintf("opening scan %q: %v", fh.Filename, err), rid)
-			return
-		}
-		img, err := imageio.Read(f)
-		f.Close()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid_argument",
-				fmt.Sprintf("decoding scan %q: %v", fh.Filename, err), rid)
-			return
-		}
-		req.Scans = append(req.Scans, img)
-	}
-	if fhs := r.MultipartForm.File["ref"]; len(fhs) > 0 && req.RefID == "" {
-		f, err := fhs[0].Open()
-		if err == nil {
-			img, rerr := imageio.Read(f)
-			f.Close()
-			if rerr != nil {
-				writeError(w, http.StatusBadRequest, "invalid_argument",
-					fmt.Sprintf("decoding ref upload: %v", rerr), rid)
-				return
-			}
-			req.Ref = img
-		}
-	}
-	var peer string
-	var cl *apiclient.Client
-	if req.RefID != "" {
-		peer, cl = c.ownerClient(req.RefID)
-	} else {
-		peer, cl = c.nextClient()
-	}
-	st, err := cl.SubmitJob(r.Context(), req)
-	if err != nil {
-		c.relayError(w, r, peer, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, st)
-}
-
 func (c *Coordinator) handleJobList(w http.ResponseWriter, r *http.Request) {
 	peers := c.ring.Peers()
 	type peerJobs struct {
@@ -692,48 +523,6 @@ func (c *Coordinator) handleJobList(w http.ResponseWriter, r *http.Request) {
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": all})
-}
-
-// scatterJob asks every shard about a job id; the shard that knows it
-// answers. Job ids are shard-local, so exactly one shard should claim
-// any given id.
-func (c *Coordinator) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	peers := c.ring.Peers()
-	var lastPeer string
-	var lastErr error
-	for _, peer := range peers {
-		cl := c.client(peer)
-		st, err := cl.GetJob(r.Context(), id)
-		if err == nil {
-			writeJSON(w, http.StatusOK, st)
-			return
-		}
-		lastPeer, lastErr = peer, err
-		if !apiclient.IsNotFound(err) {
-			break
-		}
-	}
-	c.relayError(w, r, lastPeer, lastErr)
-}
-
-func (c *Coordinator) handleJobDelete(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	var lastPeer string
-	var lastErr error
-	for _, peer := range c.ring.Peers() {
-		cl := c.client(peer)
-		err := cl.DeleteJob(r.Context(), id)
-		if err == nil {
-			w.WriteHeader(http.StatusNoContent)
-			return
-		}
-		lastPeer, lastErr = peer, err
-		if !apiclient.IsNotFound(err) {
-			break
-		}
-	}
-	c.relayError(w, r, lastPeer, lastErr)
 }
 
 // handleReadyz aggregates per-shard readiness: probe "peer:<host>"

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"sysrle/internal/bitmap"
 	"sysrle/internal/rle"
@@ -20,6 +21,9 @@ import (
 func Formats() []string {
 	return []string{"pbm", "pbm-plain", "png", "rlet", "rleb"}
 }
+
+// IsFormat reports whether name is one of Formats.
+func IsFormat(name string) bool { return slices.Contains(Formats(), name) }
 
 // Read decodes an image, sniffing the format: PBM "P1"/"P4", PNG
 // signature, RLE text "RLET", RLE binary "RLEB".

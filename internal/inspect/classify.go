@@ -1,8 +1,8 @@
 package inspect
 
 import (
-	"sysrle/internal/morph"
 	"sysrle/internal/rle"
+	"sysrle/internal/runmorph"
 )
 
 // Detailed defect classification. Polarity (missing vs. extra
@@ -78,7 +78,7 @@ func classifyDetailed(ref *rle.Image, comp Component) string {
 	}
 	removed := 2*missing >= comp.Area
 
-	grown, err := morph.Dilate(blob, morph.Box(1))
+	grown, err := runmorph.Dilate(blob, runmorph.Box(1))
 	if err != nil {
 		panic(err)
 	}

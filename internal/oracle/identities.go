@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"sysrle/internal/bitmap"
-	"sysrle/internal/morph"
 	"sysrle/internal/rle"
+	"sysrle/internal/runmorph"
 )
 
 // Metamorphic identities on whole images, engine-independent: each
@@ -123,39 +123,39 @@ func (r *run) identities(p pair, at location) {
 	// Morphology: compressed-domain dilate/erode against the pixel
 	// reference, the complement duality between them, and open/close
 	// idempotence.
-	se := morph.SE{Rx: 2, Ry: 1}
+	se := runmorph.Rect(5, 3)
 	r.imageCheck(idDilateBitmap, at, func() string {
-		got, err := morph.Dilate(a, se)
+		got, err := runmorph.Dilate(a, se)
 		if err != nil {
 			return err.Error()
 		}
-		return diffImages(got, morphReference(a, se, true))
+		return diffImages(got, rectReference(a, se, true))
 	})
 	r.imageCheck(idErodeBitmap, at, func() string {
-		got, err := morph.Erode(a, se)
+		got, err := runmorph.Erode(a, se)
 		if err != nil {
 			return err.Error()
 		}
-		return diffImages(got, morphReference(a, se, false))
+		return diffImages(got, rectReference(a, se, false))
 	})
-	r.imageCheck(idDuality, at, func() string { return checkDuality(a, se) })
+	r.imageCheck(idDuality, at, func() string { return checkReflectDuality(a, se) })
 	r.imageCheck(idOpenIdempotent, at, func() string {
-		once, err := morph.Open(a, se)
+		once, err := runmorph.Open(a, se)
 		if err != nil {
 			return err.Error()
 		}
-		twice, err := morph.Open(once, se)
+		twice, err := runmorph.Open(once, se)
 		if err != nil {
 			return err.Error()
 		}
 		return diffImages(twice, once)
 	})
 	r.imageCheck(idCloseIdempotent, at, func() string {
-		once, err := morph.Close(a, se)
+		once, err := runmorph.Close(a, se)
 		if err != nil {
 			return err.Error()
 		}
-		twice, err := morph.Close(once, se)
+		twice, err := runmorph.Close(once, se)
 		if err != nil {
 			return err.Error()
 		}
@@ -246,55 +246,6 @@ func downsampleReference(img *rle.Image, f int) *rle.Image {
 		out.Rows[oy] = rle.FromBits(bits)
 	}
 	return out
-}
-
-// morphReference is the brute-force rectangle morphology with
-// background padding: dilation ORs the window, erosion ANDs it.
-func morphReference(img *rle.Image, se morph.SE, dilate bool) *rle.Image {
-	out := rle.NewImage(img.Width, img.Height)
-	for y := 0; y < img.Height; y++ {
-		bits := make([]bool, img.Width)
-		for x := 0; x < img.Width; x++ {
-			v := !dilate
-			for dy := -se.Ry; dy <= se.Ry; dy++ {
-				for dx := -se.Rx; dx <= se.Rx; dx++ {
-					px := img.Get(x+dx, y+dy)
-					if dilate {
-						v = v || px
-					} else {
-						v = v && px
-					}
-				}
-			}
-			bits[x] = v
-		}
-		out.Rows[y] = rle.FromBits(bits)
-	}
-	return out
-}
-
-// checkDuality verifies erosion = ¬dilate(¬·) on a canvas padded by
-// the SE radii. The padding makes the finite-frame complement agree
-// with the infinite-plane one everywhere the original frame can see:
-// sources outside the canvas could only re-dilate pixels the padded
-// complement already holds.
-func checkDuality(img *rle.Image, se morph.SE) string {
-	eroded, err := morph.Erode(img, se)
-	if err != nil {
-		return err.Error()
-	}
-	canvas := rle.NewImage(img.Width+2*se.Rx, img.Height+2*se.Ry)
-	rle.Paste(canvas, img, se.Rx, se.Ry)
-	neg := complement(canvas)
-	dil, err := morph.Dilate(neg, se)
-	if err != nil {
-		return err.Error()
-	}
-	back, err := rle.Crop(complement(dil), se.Rx, se.Ry, img.Width, img.Height)
-	if err != nil {
-		return err.Error()
-	}
-	return diffImages(back, eroded)
 }
 
 // complement flips every pixel inside the frame.

@@ -135,6 +135,64 @@ func TestRowPrimitivesMergeFragments(t *testing.T) {
 	}
 }
 
+// Regression, found by the cross-engine oracle's non-canonical
+// corpus: erosion used to erode each run independently, so a
+// contiguous stretch encoded as adjacent fragments (a valid row per
+// the paper) vanished entirely — each fragment is shorter than the
+// SE — instead of eroding as one maximal stretch.
+func TestErodeRowMergesAdjacentFragments(t *testing.T) {
+	// [24,33] as three adjacent fragments; erosion by 2 must give
+	// [26,31], exactly as for the canonical encoding.
+	fragments := rle.Row{{Start: 24, Length: 4}, {Start: 28, Length: 4}, {Start: 32, Length: 2}}
+	want := rle.Row{{Start: 26, Length: 6}}
+	if got := AppendErodeRow(nil, fragments, 2, 2); !got.Equal(want) {
+		t.Fatalf("erode(fragments, 2) = %v, want %v", got, want)
+	}
+	if got := AppendErodeRow(nil, fragments.Canonicalize(), 2, 2); !got.Equal(want) {
+		t.Fatalf("erode(canonical, 2) = %v, want %v", got, want)
+	}
+	// The minimized oracle finding: two adjacent single-pixel runs
+	// survive erosion by 0 untouched but must not be double-eroded or
+	// dropped at 1.
+	pairRow := rle.Row{{Start: 105, Length: 1}, {Start: 106, Length: 1}}
+	if got := AppendErodeRow(nil, pairRow, 0, 0); got.Area() != 2 {
+		t.Fatalf("erode(adjacent pair, 0) = %v, want area 2", got)
+	}
+	if got := AppendErodeRow(nil, pairRow, 1, 1); len(got) != 0 {
+		t.Fatalf("erode(adjacent pair, 1) = %v, want empty", got)
+	}
+}
+
+// TestDilateRowMergesAndClips: touching grown runs merge, an empty row
+// stays empty, and growth clips at both borders.
+func TestDilateRowMergesAndClips(t *testing.T) {
+	row := rle.Row{{Start: 5, Length: 2}, {Start: 10, Length: 2}}
+	// (3..8) and (8..13) merge into (3..13).
+	if got, want := AppendDilateRow(nil, row, 2, 2, 20), (rle.Row{{Start: 3, Length: 11}}); !got.Equal(want) {
+		t.Errorf("dilate = %v, want %v", got, want)
+	}
+	if got := AppendDilateRow(nil, nil, 3, 3, 20); len(got) != 0 {
+		t.Errorf("empty row dilated to %v", got)
+	}
+	got := AppendDilateRow(nil, rle.Row{{Start: 0, Length: 1}, {Start: 19, Length: 1}}, 2, 2, 20)
+	if want := (rle.Row{{Start: 0, Length: 3}, {Start: 17, Length: 3}}); !got.Equal(want) {
+		t.Errorf("border dilate = %v, want %v", got, want)
+	}
+}
+
+// TestErodeRowShrinks: every stretch shrinks by the extents, short ones
+// vanish, and zero extents are the identity.
+func TestErodeRowShrinks(t *testing.T) {
+	row := rle.Row{{Start: 5, Length: 7}, {Start: 20, Length: 4}, {Start: 30, Length: 5}}
+	// len 7 → (7,3); len 4 vanishes; len 5 → (32,1).
+	if got, want := AppendErodeRow(nil, row, 2, 2), (rle.Row{{Start: 7, Length: 3}, {Start: 32, Length: 1}}); !got.Equal(want) {
+		t.Errorf("erode = %v, want %v", got, want)
+	}
+	if got := AppendErodeRow(nil, row, 0, 0); !got.Equal(row) {
+		t.Errorf("zero-extent erode changed the row: %v", got)
+	}
+}
+
 func TestRowPrimitiveClipping(t *testing.T) {
 	row := rle.Row{rle.Span(0, 1), rle.Span(30, 31)}
 	got := AppendDilateRow(nil, row, 3, 3, 32)
@@ -166,6 +224,17 @@ func TestRowPrimitivesPanicOnNegativeExtents(t *testing.T) {
 			f()
 		}()
 	}
+}
+
+// TestDilateRowPanicsOnNegativeRadius: a symmetric negative radius is
+// rejected even when the row is empty and no run would be grown.
+func TestDilateRowPanicsOnNegativeRadius(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic")
+		}
+	}()
+	AppendDilateRow(nil, nil, -1, -1, 10)
 }
 
 func TestSEValidation(t *testing.T) {
@@ -362,9 +431,9 @@ func TestHitOrMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	img := rle.NewImage(8, 5)
-	img.Rows[1] = rle.Row{rle.Span(2, 2)}          // isolated
-	img.Rows[3] = rle.Row{rle.Span(4, 5)}          // pair: neither isolated
-	img.Rows[0] = rle.Row{rle.Span(7, 7)}          // corner, isolated
+	img.Rows[1] = rle.Row{rle.Span(2, 2)} // isolated
+	img.Rows[3] = rle.Row{rle.Span(4, 5)} // pair: neither isolated
+	img.Rows[0] = rle.Row{rle.Span(7, 7)} // corner, isolated
 	got, err := HitOrMiss(img, pat)
 	if err != nil {
 		t.Fatal(err)

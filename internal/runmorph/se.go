@@ -8,12 +8,12 @@
 // with the number of runs, not the number of pixels, which is the
 // compressed-domain regime the source paper targets.
 //
-// Unlike internal/morph's original centred-box API, runmorph supports
-// arbitrary rectangular structuring elements: any width×height with an
-// arbitrary origin inside the rectangle, plus composition and
-// horizontal/vertical decomposition of SEs, and the derived operators
-// open, close, gradient, top-hat, black-hat and hit-or-miss.
-// internal/morph is now a thin compatibility shim over this package.
+// runmorph supports arbitrary rectangular structuring elements: any
+// width×height with an arbitrary origin inside the rectangle, plus
+// composition and horizontal/vertical decomposition of SEs, and the
+// derived operators open, close, gradient, top-hat, black-hat and
+// hit-or-miss. The sysrle facade's centred-box SE{Rx, Ry} is the
+// (2Rx+1)×(2Ry+1) Rect.
 //
 // Border convention: images live on a canvas padded with background.
 // Dilation is clipped to the frame; erosion near the border vanishes

@@ -54,7 +54,7 @@ func (s *Server) handleDocClean(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	format := r.URL.Query().Get("format")
-	if format != "" && !validFormat(format) {
+	if format != "" && !imageio.IsFormat(format) {
 		s.httpError(w, r, http.StatusBadRequest, fmt.Errorf("unknown format %q (have %v)", format, imageio.Formats()))
 		return
 	}

@@ -163,6 +163,7 @@ import (
 	"time"
 
 	"sysrle"
+	"sysrle/internal/apiclient"
 	"sysrle/internal/auditlog"
 	"sysrle/internal/core"
 	"sysrle/internal/fault"
@@ -561,7 +562,7 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	if format == "" {
 		format = "pbm"
 	}
-	if !validFormat(format) {
+	if !imageio.IsFormat(format) {
 		s.httpError(w, r, http.StatusBadRequest, fmt.Errorf("unknown format %q (have %v)", format, imageio.Formats()))
 		return
 	}
@@ -577,29 +578,7 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.recordEngine(engine.Name(), stats.TotalIterations, stats.RowsDiffering)
-	w.Header().Set("Content-Type", imageio.ContentType(format))
-	w.Header().Set("X-Sysrle-Engine", engine.Name())
-	w.Header().Set("X-Sysrle-Rows-Differing", strconv.Itoa(stats.RowsDiffering))
-	w.Header().Set("X-Sysrle-Iterations-Total", strconv.Itoa(stats.TotalIterations))
-	w.Header().Set("X-Sysrle-Iterations-Max-Row", strconv.Itoa(stats.MaxRowIterations))
-	w.Header().Set("X-Sysrle-Cells-Total", strconv.Itoa(stats.TotalCells))
-	w.Header().Set("X-Sysrle-Cells-Max-Row", strconv.Itoa(stats.MaxRowCells))
-	if stats.FaultsRecovered > 0 {
-		w.Header().Set("X-Sysrle-Faults-Recovered", strconv.Itoa(stats.FaultsRecovered))
-	}
-	w.Header().Set("X-Sysrle-Diff-Pixels", strconv.Itoa(diff.Area()))
-	// The format was validated up front, so a write error here can
-	// only be a broken connection; nothing useful remains to send.
-	_ = imageio.Write(w, format, diff)
-}
-
-func validFormat(format string) bool {
-	for _, f := range imageio.Formats() {
-		if f == format {
-			return true
-		}
-	}
-	return false
+	apiclient.WriteDiff(w, format, diff, *stats, engine.Name())
 }
 
 // inspectResponse is the JSON shape of /v1/inspect.

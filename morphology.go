@@ -3,44 +3,57 @@ package sysrle
 import (
 	"fmt"
 
-	"sysrle/internal/morph"
 	"sysrle/internal/runmorph"
 )
 
 // Compressed-domain binary morphology — the operation class the
-// paper's introduction motivates, done without decompressing. Two
-// API generations coexist here:
+// paper's introduction motivates, done without decompressing — on the
+// run-native interval engine (internal/runmorph). Two API generations
+// coexist here:
 //
-//   - The original centred-box functions (Dilate, Erode, Open, Close,
-//     Gradient with an SE of radii) are kept unchanged for
-//     compatibility; they now delegate to the run-native interval
-//     engine through internal/morph's shim.
+//   - The centred-box functions (Dilate, Erode, Open, Close, Gradient
+//     with an SE of radii), the original API.
 //   - The Morph* family exposes the full engine via functional
 //     options: arbitrary rectangular SEs with arbitrary origins
 //     (WithRectSE, WithSEOrigin), explicit decomposed execution
 //     (WithDecomposedSE), plus top-hat, black-hat and hit-or-miss.
 
 // SE is a rectangular structuring element with horizontal radius Rx
-// and vertical radius Ry; Box(1) is the 3×3 box.
-type SE = morph.SE
+// and vertical radius Ry; Box(1) is the 3×3 box. It stands for the
+// (2Rx+1)×(2Ry+1) rectangle centred on the origin.
+type SE struct {
+	Rx int
+	Ry int
+}
 
 // Box returns the square structuring element of the given radius.
-func Box(r int) SE { return morph.Box(r) }
+func Box(r int) SE { return SE{Rx: r, Ry: r} }
+
+// boxOp runs a runmorph operation with the SE's rectangle, rejecting
+// negative radii.
+func boxOp(op func(*Image, RectSE) (*Image, error), img *Image, se SE) (*Image, error) {
+	if se.Rx < 0 || se.Ry < 0 {
+		return nil, fmt.Errorf("sysrle: negative SE radii %+v", se)
+	}
+	return op(img, runmorph.Rect(2*se.Rx+1, 2*se.Ry+1))
+}
 
 // Dilate grows foreground by the SE.
-func Dilate(img *Image, se SE) (*Image, error) { return morph.Dilate(img, se) }
+func Dilate(img *Image, se SE) (*Image, error) { return boxOp(runmorph.Dilate, img, se) }
 
-// Erode shrinks foreground by the SE.
-func Erode(img *Image, se SE) (*Image, error) { return morph.Erode(img, se) }
+// Erode shrinks foreground by the SE. Pixels whose SE window extends
+// past the border erode away (background padding).
+func Erode(img *Image, se SE) (*Image, error) { return boxOp(runmorph.Erode, img, se) }
 
 // Open removes foreground detail smaller than the SE.
-func Open(img *Image, se SE) (*Image, error) { return morph.Open(img, se) }
+func Open(img *Image, se SE) (*Image, error) { return boxOp(runmorph.Open, img, se) }
 
-// Close fills background detail smaller than the SE.
-func Close(img *Image, se SE) (*Image, error) { return morph.Close(img, se) }
+// Close fills background detail smaller than the SE; it stays
+// extensive (img ⊆ Close(img)) right up to the borders.
+func Close(img *Image, se SE) (*Image, error) { return boxOp(runmorph.Close, img, se) }
 
 // Gradient extracts object boundaries (dilation minus erosion).
-func Gradient(img *Image, se SE) (*Image, error) { return morph.Gradient(img, se) }
+func Gradient(img *Image, se SE) (*Image, error) { return boxOp(runmorph.Gradient, img, se) }
 
 // RectSE is the general structuring element of the run-native engine:
 // a W×H rectangle with an arbitrary origin inside it. Construct with
