@@ -12,6 +12,7 @@ ci:
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -fuzz FuzzReadBinary -fuzztime 15s ./internal/rle/
+	$(GO) test -fuzz FuzzDecodeBinary -fuzztime 15s ./internal/rle/
 	$(GO) test -fuzz FuzzReadText -fuzztime 15s ./internal/rle/
 	$(GO) test -fuzz FuzzReadPBM -fuzztime 15s ./internal/bitmap/
 	$(GO) test -fuzz FuzzUnionOfTranslates -fuzztime 15s ./internal/runmorph/
@@ -91,10 +92,11 @@ calibrate:
 # The allocation regression gate plus the planner and run-native
 # morphology competitiveness smokes: deterministic allocs/op
 # assertions over the hot paths, the sweep-endpoint wall-clock gate,
-# the sparse-A4 opening gate and the row-loop scheduling-overhead
-# gate (mirrors the ci.yml perf-smoke job).
+# the sparse-A4 opening gate, the row-loop scheduling-overhead gate
+# and the streamed /v1/diff allocation gate (mirrors the ci.yml
+# perf-smoke job).
 perf-smoke:
-	$(GO) test -run 'AllocReduction|ZeroAllocs|PlannerSmoke|RunmorphSmoke|SchedulingOverhead' -v \
+	$(GO) test -run 'AllocReduction|ZeroAllocs|StreamAllocs|PlannerSmoke|RunmorphSmoke|SchedulingOverhead' -v \
 		./internal/perf/ ./internal/core/ ./internal/planner/
 
 # Regenerate every paper table and figure (see EXPERIMENTS.md).
@@ -120,6 +122,7 @@ cluster-bench:
 # morphology row kernels.
 fuzz:
 	$(GO) test -fuzz FuzzReadBinary -fuzztime 10s ./internal/rle/
+	$(GO) test -fuzz FuzzDecodeBinary -fuzztime 10s ./internal/rle/
 	$(GO) test -fuzz FuzzReadText -fuzztime 10s ./internal/rle/
 	$(GO) test -fuzz FuzzReadPBM -fuzztime 10s ./internal/bitmap/
 	$(GO) test -fuzz FuzzUnionOfTranslates -fuzztime 10s ./internal/runmorph/

@@ -91,11 +91,20 @@ func (c *Client) Diff(ctx context.Context, req DiffRequest) (*DiffResult, error)
 
 // WriteDiff renders a /v1/diff answer: the difference image in format
 // (one of imageio.Formats), the engine statistics in X-Sysrle-*
-// headers. It is the one rendering of that answer, shared by the
-// shard's handler and the cluster coordinator's scatter path; Diff
-// parses it back.
+// headers. The cluster coordinator's scatter path and the shard's
+// non-streaming formats render through it; Diff parses it back.
 func WriteDiff(w http.ResponseWriter, format string, diff *rle.Image, stats sysrle.ImageStats, engine string) {
-	h := w.Header()
+	SetDiffHeaders(w.Header(), format, stats, engine, diff.Area())
+	// With a valid format a write error can only be a broken
+	// connection; nothing useful remains to send.
+	_ = imageio.Write(w, format, diff)
+}
+
+// SetDiffHeaders sets the headers of a /v1/diff answer whose
+// difference has diffPixels foreground pixels. It is the one writer of
+// those headers, shared by WriteDiff and the shard's streamed rleb
+// answer.
+func SetDiffHeaders(h http.Header, format string, stats sysrle.ImageStats, engine string, diffPixels int) {
 	h.Set("Content-Type", imageio.ContentType(format))
 	h.Set("X-Sysrle-Engine", engine)
 	h.Set("X-Sysrle-Rows-Differing", strconv.Itoa(stats.RowsDiffering))
@@ -106,10 +115,7 @@ func WriteDiff(w http.ResponseWriter, format string, diff *rle.Image, stats sysr
 	if stats.FaultsRecovered > 0 {
 		h.Set("X-Sysrle-Faults-Recovered", strconv.Itoa(stats.FaultsRecovered))
 	}
-	h.Set("X-Sysrle-Diff-Pixels", strconv.Itoa(diff.Area()))
-	// With a valid format a write error can only be a broken
-	// connection; nothing useful remains to send.
-	_ = imageio.Write(w, format, diff)
+	h.Set("X-Sysrle-Diff-Pixels", strconv.Itoa(diffPixels))
 }
 
 // Defect mirrors the server's defect report entries (inspect.Defect's

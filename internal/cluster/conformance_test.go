@@ -42,6 +42,19 @@ func filePart(t *testing.T, field string, img *rle.Image) part {
 	return part{field, field + ".rleb", buf.Bytes()}
 }
 
+// corruptRow is img as an RLEB "b" part whose row y claims a run
+// starting past the right edge; every other row is well formed.
+func corruptRow(img *rle.Image, y int) part {
+	data := rle.AppendBinaryHeader(nil, img.Width, img.Height)
+	for i, row := range img.Rows {
+		if i == y {
+			row = rle.Row{{Start: img.Width, Length: 1}}
+		}
+		data = rle.AppendBinaryRow(data, row)
+	}
+	return part{"b", "b.rleb", data}
+}
+
 func multipartBody(t *testing.T, parts []part) ([]byte, string) {
 	t.Helper()
 	var buf bytes.Buffer
@@ -198,6 +211,12 @@ func TestConformanceAcrossDeployments(t *testing.T) {
 	garbage := func(field string) part { return part{field, field + ".bin", []byte("not an image")} }
 	oversize := func(field string) part { return part{field, field + ".bin", make([]byte, maxUpload+1)} }
 	tallAp, tallBp := filePart(t, "a", tallA), filePart(t, "b", tallB)
+	var pbm bytes.Buffer
+	if err := imageio.Write(&pbm, "pbm", scan); err != nil {
+		t.Fatal(err)
+	}
+	scanPBM := part{"b", "b.pbm", pbm.Bytes()}
+	corruptScan, corruptTall := corruptRow(scan, 32), corruptRow(tallB, 75)
 
 	rows := []confRow{
 		{name: "put reference", method: "POST", path: "/v1/references", parts: []part{R},
@@ -211,6 +230,12 @@ func TestConformanceAcrossDeployments(t *testing.T) {
 			parts: []part{tallAp, tallBp}, status: 200},
 		{name: "ref diff", method: "POST", path: "/v1/diff?ref={ref}&format=rleb",
 			parts: []part{as(S, "b")}, status: 200},
+		{name: "ref diff, pbm upload", method: "POST", path: "/v1/diff?ref={ref}&format=rleb",
+			parts: []part{scanPBM}, status: 200},
+		{name: "ref diff, lockstep", method: "POST", path: "/v1/diff?ref={ref}&format=rleb&engine=lockstep",
+			parts: []part{as(S, "b")}, status: 200},
+		{name: "scattered rleb diff", method: "POST", path: "/v1/diff?format=rleb",
+			parts: []part{tallAp, tallBp}, status: 200},
 		{name: "inline inspect", method: "POST", path: "/v1/inspect?min-area=2",
 			parts: []part{as(R, "ref"), as(S, "scan")}, status: 200},
 		{name: "ref inspect", method: "POST", path: "/v1/inspect?ref={ref}",
@@ -236,6 +261,12 @@ func TestConformanceAcrossDeployments(t *testing.T) {
 			status: 400, code: "invalid_argument"},
 		{name: "undecodable upload", method: "POST", path: "/v1/diff", parts: []part{tallAp, garbage("b")},
 			status: 400, code: "invalid_argument"},
+		{name: "ref diff, corrupt middle row", method: "POST", path: "/v1/diff?ref={ref}&format=rleb",
+			parts: []part{corruptScan}, status: 400, code: "invalid_argument"},
+		{name: "inline diff, corrupt middle row", method: "POST", path: "/v1/diff?format=rleb",
+			parts: []part{as(R, "a"), corruptScan}, status: 400, code: "invalid_argument"},
+		{name: "size mismatch, corrupt upload", method: "POST", path: "/v1/diff?format=rleb",
+			parts: []part{as(R, "a"), corruptTall}, status: 400, code: "invalid_argument"},
 		{name: "inspect without scan", method: "POST", path: "/v1/inspect", parts: []part{as(R, "ref")},
 			status: 400, code: "invalid_argument"},
 		{name: "unknown job type", method: "POST", path: "/v1/jobs?type=bogus", parts: []part{as(S, "scan")},

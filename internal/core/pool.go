@@ -38,11 +38,12 @@ func (p *ArrayPool) Size() int { return len(p.arrays) }
 // parallel. A row pair exceeding an array's capacity fails with
 // ErrTooWide, and the first failing row stops the whole image.
 func (p *ArrayPool) XORImage(a, b *rle.Image) (*rle.Image, *ImageStats, error) {
-	res, err := XORRows(context.Background(), a, b, len(p.arrays), func(w int) Engine { return p.arrays[w] })
+	diff := rle.NewImage(a.Width, a.Height)
+	stats, err := XORRows(context.Background(), a, b, len(p.arrays), func(w int) Engine { return p.arrays[w] }, PersistRows(diff))
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: %w", err)
 	}
-	return res.Image, res.Stats(), nil
+	return diff, stats, nil
 }
 
 // Close shuts down every array in the bank.

@@ -23,46 +23,55 @@ type ImageStats struct {
 	RowsDiffering                     int
 }
 
-// RowsResult is the outcome of XORRows: the canonical difference
-// image and each row's engine Iterations and Cells, indexed by row.
-type RowsResult struct {
-	Image             *rle.Image
-	Iterations, Cells []int
+// add folds o into s: sums stay sums and maxima stay maxima.
+func (s *ImageStats) add(o ImageStats) {
+	s.TotalIterations += o.TotalIterations
+	s.MaxRowIterations = max(s.MaxRowIterations, o.MaxRowIterations)
+	s.TotalCells += o.TotalCells
+	s.MaxRowCells = max(s.MaxRowCells, o.MaxRowCells)
+	s.RowsDiffering += o.RowsDiffering
 }
 
-// Stats sums and maxes the per-row counts.
-func (r *RowsResult) Stats() *ImageStats {
-	s := &ImageStats{}
-	for y, row := range r.Image.Rows {
-		s.TotalIterations += r.Iterations[y]
-		s.MaxRowIterations = max(s.MaxRowIterations, r.Iterations[y])
-		s.TotalCells += r.Cells[y]
-		s.MaxRowCells = max(s.MaxRowCells, r.Cells[y])
-		if len(row) > 0 {
-			s.RowsDiffering++
-		}
+// RowSource serves the rows of one XORRows operand. An *rle.Image
+// serves any row; an *rle.RowDecoder serves only the next one, in
+// order, so it needs a one-worker loop.
+type RowSource interface {
+	Size() (width, height int)
+	// ReadRow returns row y, possibly appended to dst. An error is the
+	// source's own, for example a malformed encoded row.
+	ReadRow(y int, dst rle.Row) (rle.Row, error)
+}
+
+// PersistRows returns an XORRows sink that copies every row into img,
+// through one rle.Arena per worker.
+func PersistRows(img *rle.Image) func(w int) func(y int, row rle.Row) {
+	return func(int) func(int, rle.Row) {
+		arena := rle.NewArena(0)
+		return func(y int, row rle.Row) { img.Rows[y] = arena.Persist(row) }
 	}
-	return s
 }
 
 // XORRows is the one whole-image row loop — the software analogue of
 // the paper's one systolic array per scanline. It diffs two equally
-// sized images row by row on up to workers row workers, which claim
-// RowBand rows at a time from one atomic cursor. Worker w diffs on
-// engine(w) into its own scratch row and rle.Arena. Worker 0 runs on
-// the caller's goroutine, so one worker starts no goroutine and visits
-// rows in order 0…H-1, as the planner's hysteresis expects.
+// sized row sources row by row on up to workers row workers, which
+// claim RowBand rows at a time from one atomic cursor. Worker w diffs
+// on engine(w) into its own scratch row and hands each finished row
+// y to sink(w); the row is that scratch, valid only during the call.
+// Worker 0 runs on the caller's goroutine, so one worker starts no
+// goroutine and visits rows in order 0…H-1, as the planner's
+// hysteresis, a sequential source such as rle.RowDecoder and an
+// order-dependent sink all require. XORRows returns the engine counts
+// summed and maxed over every row.
 //
 // ctx is checked before each row, and its error is returned unwrapped.
-// A row whose engine fails or panics (recovered once per worker) stops
-// every worker from starting a higher row, and the call fails with
-// "row N: …" for the lowest failing row N.
-func XORRows(ctx context.Context, a, b *rle.Image, workers int, engine func(w int) Engine) (*RowsResult, error) {
-	if a.Width != b.Width || a.Height != b.Height {
-		return nil, fmt.Errorf("size mismatch %dx%d vs %dx%d", a.Width, a.Height, b.Width, b.Height)
+// A row whose source or engine fails or panics (recovered once per
+// worker) stops every worker from starting a higher row, and the call
+// fails with "row N: …" for the lowest failing row N.
+func XORRows(ctx context.Context, a, b RowSource, workers int, engine func(w int) Engine, sink func(w int) func(y int, row rle.Row)) (*ImageStats, error) {
+	aw, n := a.Size()
+	if bw, bh := b.Size(); aw != bw || n != bh {
+		return nil, fmt.Errorf("size mismatch %dx%d vs %dx%d", aw, n, bw, bh)
 	}
-	n := a.Height
-	res := &RowsResult{Image: rle.NewImage(a.Width, n), Iterations: make([]int, n), Cells: make([]int, n)}
 	workers = max(min(workers, n), 1)
 	band := max(min(RowBand, (n+workers-1)/workers), 1)
 	var cursor atomic.Int64
@@ -73,6 +82,7 @@ func XORRows(ctx context.Context, a, b *rle.Image, workers int, engine func(w in
 	lowest.Store(int64(n))
 	var mu sync.Mutex
 	var rowErr error
+	stats := &ImageStats{}
 	fail := func(y int, err error) {
 		mu.Lock()
 		defer mu.Unlock()
@@ -83,14 +93,17 @@ func XORRows(ctx context.Context, a, b *rle.Image, workers int, engine func(w in
 	}
 	done := ctx.Done()
 	run := func(w int) {
-		eng := engine(w)
-		arena := rle.NewArena(0)
-		var scratch rle.Row
+		eng, emit := engine(w), sink(w)
+		var scratch, ra, rb rle.Row
+		var st ImageStats
 		y := 0
 		defer func() {
 			if p := recover(); p != nil {
 				fail(y, fmt.Errorf("engine %s panicked: %v", eng.Name(), p))
 			}
+			mu.Lock()
+			defer mu.Unlock()
+			stats.add(st)
 		}()
 		for end := 0; end < n; {
 			start := int(cursor.Add(int64(band))) - band
@@ -104,14 +117,20 @@ func XORRows(ctx context.Context, a, b *rle.Image, workers int, engine func(w in
 				if int64(y) > lowest.Load() {
 					return
 				}
-				r, err := XORRowAppend(eng, scratch[:0], a.Rows[y], b.Rows[y])
+				var r Result
+				var err error
+				if ra, err = a.ReadRow(y, ra[:0]); err == nil {
+					if rb, err = b.ReadRow(y, rb[:0]); err == nil {
+						r, err = XORRowAppend(eng, scratch[:0], ra, rb)
+					}
+				}
 				if err != nil {
 					fail(y, err)
 					return
 				}
 				scratch = r.Row
-				res.Image.Rows[y] = arena.Persist(scratch)
-				res.Iterations[y], res.Cells[y] = r.Iterations, r.Cells
+				emit(y, scratch)
+				st.add(ImageStats{r.Iterations, r.Iterations, r.Cells, r.Cells, min(len(scratch), 1)})
 			}
 		}
 	}
@@ -131,5 +150,5 @@ func XORRows(ctx context.Context, a, b *rle.Image, workers int, engine func(w in
 	if rowErr != nil {
 		return nil, rowErr
 	}
-	return res, nil
+	return stats, nil
 }

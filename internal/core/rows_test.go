@@ -15,45 +15,91 @@ import (
 )
 
 // TestXORRowsMatchesSequentialPass: for every worker count and every
-// height around the band size, the rows and per-row counts equal one
-// in-order pass of the same engine.
+// height around the band size, the rows and the summed and maxed
+// counts equal one in-order pass of the same engine.
 func TestXORRowsMatchesSequentialPass(t *testing.T) {
 	rng := rand.New(rand.NewSource(1401))
 	for _, h := range []int{0, 1, 31, 32, 33, 100, 1025} {
 		a := randomTestImage(rng, 120, h)
 		b := randomTestImage(rng, 120, h)
 		want := rle.NewImage(a.Width, h)
-		wantIters, wantCells := make([]int, h), make([]int, h)
+		var wantStats ImageStats
 		for y := 0; y < h; y++ {
 			r, err := XORRowAppend(Lockstep{}, nil, a.Rows[y], b.Rows[y])
 			if err != nil {
 				t.Fatal(err)
 			}
-			want.Rows[y], wantIters[y], wantCells[y] = r.Row, r.Iterations, r.Cells
+			want.Rows[y] = r.Row
+			wantStats.add(ImageStats{r.Iterations, r.Iterations, r.Cells, r.Cells, min(len(r.Row), 1)})
 		}
 		for _, workers := range []int{1, 2, 3, 8, h + 5} {
 			var built atomic.Int64
-			got, err := XORRows(context.Background(), a, b, workers, func(int) Engine {
+			got := rle.NewImage(a.Width, h)
+			stats, err := XORRows(context.Background(), a, b, workers, func(int) Engine {
 				built.Add(1)
 				return Lockstep{}
-			})
+			}, PersistRows(got))
 			if err != nil {
 				t.Fatalf("h=%d workers=%d: %v", h, workers, err)
 			}
-			if !got.Image.Equal(want) {
+			if !got.Equal(want) {
 				t.Errorf("h=%d workers=%d: rows differ from the sequential pass", h, workers)
 			}
-			for y := 0; y < h; y++ {
-				if got.Iterations[y] != wantIters[y] || got.Cells[y] != wantCells[y] {
-					t.Errorf("h=%d workers=%d row %d: iterations/cells %d/%d, want %d/%d",
-						h, workers, y, got.Iterations[y], got.Cells[y], wantIters[y], wantCells[y])
-					break
-				}
+			if *stats != wantStats {
+				t.Errorf("h=%d workers=%d: stats %+v, want %+v", h, workers, *stats, wantStats)
 			}
 			if n := built.Load(); n < 1 || n > int64(max(workers, 1)) {
 				t.Errorf("h=%d workers=%d: %d engines built", h, workers, n)
 			}
 		}
+	}
+}
+
+// discard is a sink that drops every row.
+func discard(int) func(int, rle.Row) { return func(int, rle.Row) {} }
+
+// TestXORRowsDecoderSource: an RLEB stream decoded row by row as the
+// loop consumes it gives the rows and counts of the decoded image,
+// and a malformed row fails the loop naming that row.
+func TestXORRowsDecoderSource(t *testing.T) {
+	rng := rand.New(rand.NewSource(1402))
+	a := randomTestImage(rng, 200, 90)
+	b := randomTestImage(rng, 200, 90)
+	want := rle.NewImage(a.Width, a.Height)
+	wantStats, err := XORRows(context.Background(), a, b, 1, func(int) Engine { return Sequential{} }, PersistRows(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := rle.AppendBinary(nil, b)
+	dec, err := rle.NewRowDecoder(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []int
+	got := rle.NewImage(a.Width, a.Height)
+	stats, err := XORRows(context.Background(), a, dec, 1, func(int) Engine { return Sequential{} }, func(w int) func(int, rle.Row) {
+		persist := PersistRows(got)(w)
+		return func(y int, row rle.Row) { rows = append(rows, y); persist(y, row) }
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) || *stats != *wantStats {
+		t.Errorf("decoder source: stats %+v, want %+v; images equal %v", *stats, *wantStats, got.Equal(want))
+	}
+	for y, r := range rows {
+		if r != y {
+			t.Fatalf("sink call %d got row %d; rows out of order", y, r)
+		}
+	}
+	// Truncate the stream inside row 40: rows 0…39 decode, row 40 fails.
+	prefix := rle.AppendBinary(nil, &rle.Image{Width: b.Width, Height: b.Height, Rows: b.Rows[:40]})
+	dec, err = rle.NewRowDecoder(append(prefix, 0xff))
+	if err == nil {
+		_, err = XORRows(context.Background(), a, dec, 1, func(int) Engine { return Sequential{} }, discard)
+	}
+	if err == nil || !strings.HasPrefix(err.Error(), "row 40: rle: row 40") {
+		t.Errorf("truncated stream: err = %v, want row 40's decode error", err)
 	}
 }
 
@@ -95,7 +141,7 @@ func TestXORRowsOneWorkerInlineInOrder(t *testing.T) {
 	const h = 100
 	a := rowImage(h)
 	eng := &orderEngine{gids: map[string]bool{}}
-	if _, err := XORRows(context.Background(), a, rle.NewImage(a.Width, h), 1, func(int) Engine { return eng }); err != nil {
+	if _, err := XORRows(context.Background(), a, rle.NewImage(a.Width, h), 1, func(int) Engine { return eng }, discard); err != nil {
 		t.Fatal(err)
 	}
 	for y, got := range eng.rows {
@@ -135,7 +181,7 @@ func TestXORRowsCancelMidImage(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		eng := &cancelEngine{at: 200, cancel: cancel}
-		_, err := XORRows(ctx, a, rle.NewImage(a.Width, h), workers, func(int) Engine { return eng })
+		_, err := XORRows(ctx, a, rle.NewImage(a.Width, h), workers, func(int) Engine { return eng }, discard)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
@@ -171,7 +217,7 @@ func TestXORRowsReportsLowestFailingRow(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		for try := 0; try < 5; try++ {
 			eng := &failEngine{bad: map[int]bool{700: true, 301: true, 1000: true, 3000: true}}
-			_, err := XORRows(context.Background(), a, rle.NewImage(a.Width, h), workers, func(int) Engine { return eng })
+			_, err := XORRows(context.Background(), a, rle.NewImage(a.Width, h), workers, func(int) Engine { return eng }, discard)
 			if err == nil || err.Error() != "row 301: bad row 301" {
 				t.Fatalf("workers=%d: err = %v, want row 301's", workers, err)
 			}
@@ -192,7 +238,7 @@ func (panicEngine) XORRow(a, b rle.Row) (Result, error) { panic("boom") }
 func TestXORRowsPanicBecomesRowError(t *testing.T) {
 	a := rowImage(64)
 	for _, workers := range []int{1, 4} {
-		_, err := XORRows(context.Background(), a, a, workers, func(int) Engine { return panicEngine{} })
+		_, err := XORRows(context.Background(), a, a, workers, func(int) Engine { return panicEngine{} }, discard)
 		if err == nil || err.Error() != "row 0: engine panicky panicked: boom" {
 			t.Errorf("workers=%d: err = %v, want row 0's panic", workers, err)
 		}

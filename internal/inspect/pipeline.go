@@ -113,17 +113,16 @@ func (ins *Inspector) CompareContext(ctx context.Context, ref, scan *rle.Image) 
 		return nil, fmt.Errorf("inspect: %w", err)
 	}
 	workers := core.RowWorkers(ins.Engine, ins.Workers, ref.Height)
-	rows, err := core.XORRows(ctx, ref, scan, workers, func(int) core.Engine {
+	diff := rle.NewImage(ref.Width, ref.Height)
+	stats, err := core.XORRows(ctx, ref, scan, workers, func(int) core.Engine {
 		if ins.Engine != nil {
 			return ins.Engine
 		}
 		return planner.New()
-	})
+	}, core.PersistRows(diff))
 	if err != nil {
 		return nil, fmt.Errorf("inspect: %w", err)
 	}
-	diff := rows.Image
-	stats := rows.Stats()
 
 	rep := &Report{
 		RowsCompared:     ref.Height,

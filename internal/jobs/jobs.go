@@ -795,10 +795,11 @@ func (m *Manager) jobCanceled(j *job) bool {
 // record stores one scan result and finalizes the job when it was the
 // last. canceledScan marks results that were skipped, not failed.
 // With an audit log configured, successful inspect verdicts are
-// appended to it first so the assigned id travels with the result;
-// with a journal, the outcome (and any completion) is appended after
-// the in-memory update — a record lost to a crash in between just
-// re-runs that scan on recovery.
+// appended to it first so the assigned id travels with the result.
+// With a journal, the outcome, and the completion when this scan
+// finishes the job, are appended before the result is published under
+// j.mu: a client must never see a verdict that a crash could lose,
+// because recovery would re-run the scan under a new audit id.
 func (m *Manager) record(j *job, res ScanResult, canceledScan bool) {
 	var auditTime time.Time
 	if m.cfg.Audit != nil && !canceledScan && res.Error == "" && typeName(j.spec.Type) == TypeInspect {
@@ -808,33 +809,35 @@ func (m *Manager) record(j *job, res ScanResult, canceledScan bool) {
 		}
 	}
 	j.mu.Lock()
-	j.results[res.Index] = res
-	j.done++
+	defer j.mu.Unlock()
+	failed := j.failed
 	if res.Error != "" && !canceledScan {
-		j.failed++
+		failed++
 	}
-	finished := j.done >= j.total
-	if finished && !j.state.Terminal() {
-		j.finished = m.cfg.now()
+	state, finishedAt := j.state, j.finished
+	finished := j.done+1 >= j.total
+	if finished && !state.Terminal() {
+		finishedAt = m.cfg.now()
 		switch {
 		case j.canceled:
-			j.state = StateCanceled
-		case j.failed > 0:
-			j.state = StateFailed
+			state = StateCanceled
+		case failed > 0:
+			state = StateFailed
 		default:
-			j.state = StateDone
+			state = StateDone
 		}
 	}
-	state := j.state
-	finishedAt := j.finished
-	j.mu.Unlock()
 	m.journalAppend(walRecord{Op: opScan, JobID: j.id, Index: res.Index, Result: &res, AuditTime: auditTime})
 	if finished {
 		m.journalAppend(walRecord{Op: opDone, JobID: j.id, State: state, Finished: finishedAt})
-		if m.completedBy != nil {
-			m.completedBy(state).Inc()
-			m.activeG.Dec()
-		}
+	}
+	j.results[res.Index] = res
+	j.done++
+	j.failed = failed
+	j.state, j.finished = state, finishedAt
+	if finished && m.completedBy != nil {
+		m.completedBy(state).Inc()
+		m.activeG.Dec()
 	}
 }
 

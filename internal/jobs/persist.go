@@ -20,7 +20,6 @@ package jobs
 // what the records mean.
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"time"
@@ -69,13 +68,7 @@ type walRecord struct {
 // encodeImage returns the canonical RLEB bytes of an image — the same
 // bytes (and therefore the same content address) the refstore would
 // assign it.
-func encodeImage(img *rle.Image) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := rle.WriteBinary(&buf, img.Canonicalize()); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
+func encodeImage(img *rle.Image) []byte { return rle.AppendBinary(nil, img.Canonicalize()) }
 
 // archiveSpec stores a submission's images as content-addressed blobs
 // and returns the durable spec. Without a journal it returns nil
@@ -100,20 +93,14 @@ func (m *Manager) archiveSpec(spec Spec) (*persistedSpec, error) {
 		return p, nil
 	}
 	if spec.Ref != nil {
-		data, err := encodeImage(spec.Ref)
-		if err != nil {
-			return nil, fmt.Errorf("jobs: archive reference: %w", err)
-		}
-		if p.RefBlob, err = m.cfg.Blobs.Put(data); err != nil {
+		var err error
+		if p.RefBlob, err = m.cfg.Blobs.Put(encodeImage(spec.Ref)); err != nil {
 			return nil, fmt.Errorf("jobs: archive reference: %w", err)
 		}
 	}
 	for i, scan := range spec.Scans {
-		data, err := encodeImage(scan)
-		if err != nil {
-			return nil, fmt.Errorf("jobs: archive scan %d: %w", i, err)
-		}
-		if p.ScanBlobs[i], err = m.cfg.Blobs.Put(data); err != nil {
+		var err error
+		if p.ScanBlobs[i], err = m.cfg.Blobs.Put(encodeImage(scan)); err != nil {
 			return nil, fmt.Errorf("jobs: archive scan %d: %w", i, err)
 		}
 	}
@@ -387,7 +374,7 @@ func loadImage(cfg Config, blobID, refID string) (*rle.Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	return rle.ReadBinary(bytes.NewReader(data))
+	return rle.DecodeBinary(data)
 }
 
 // snapshotRecords serializes the full retained state as journal

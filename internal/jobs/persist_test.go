@@ -1,7 +1,9 @@
 package jobs
 
 import (
+	"bytes"
 	"encoding/json"
+	"sync"
 	"testing"
 	"time"
 
@@ -135,21 +137,13 @@ func TestRecoveryRequeuesPendingScans(t *testing.T) {
 	e := newDurableEnv(t)
 	spec := inspectSpec(2)
 
-	refData, err := encodeImage(spec.Ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refBlob, err := e.blobs.Put(refData)
+	refBlob, err := e.blobs.Put(encodeImage(spec.Ref))
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := &persistedSpec{RefBlob: refBlob, Total: 2, ScanBlobs: make([]string, 2)}
 	for i, scan := range spec.Scans {
-		data, err := encodeImage(scan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.ScanBlobs[i], err = e.blobs.Put(data); err != nil {
+		if p.ScanBlobs[i], err = e.blobs.Put(encodeImage(scan)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -256,8 +250,7 @@ func TestRecoveryDeleteAndCancelTombstones(t *testing.T) {
 // job still terminates, recovery itself does not.
 func TestRecoveryMissingBlobFailsScanVisibly(t *testing.T) {
 	e := newDurableEnv(t)
-	refData, _ := encodeImage(testRefImage())
-	refBlob, err := e.blobs.Put(refData)
+	refBlob, err := e.blobs.Put(encodeImage(testRefImage()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,5 +394,92 @@ func TestSubmitFailsClosedWhenJournalRejects(t *testing.T) {
 		if st.State == StateQueued && st.ScansDone == 0 && st.Created.IsZero() {
 			t.Errorf("ghost job leaked: %+v", st)
 		}
+	}
+}
+
+// scanGate blocks the journal write of the first scan record until
+// released, holding the recording worker inside the window between a
+// scan's verdict and its journal record.
+type scanGate struct {
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+type gatedFS struct {
+	store.FS
+	gate *scanGate
+}
+
+func (g gatedFS) Create(p string) (store.File, error) {
+	f, err := g.FS.Create(p)
+	return gatedFile{f, g.gate}, err
+}
+
+type gatedFile struct {
+	store.File
+	gate *scanGate
+}
+
+func (f gatedFile) Write(b []byte) (int, error) {
+	if bytes.Contains(b, []byte(`"op":"scan"`)) {
+		f.gate.once.Do(func() { close(f.gate.entered) })
+		<-f.gate.release
+	}
+	return f.File.Write(b)
+}
+
+// TestRecoveryVerdictVisibleOnlyOnceJournaled kills the machine while
+// a scan's journal record is being written. A verdict Get showed
+// before the crash must be the one served after it: recovery re-runs
+// an unjournaled scan under a new audit id, so none may be visible
+// until its record is in the journal.
+func TestRecoveryVerdictVisibleOnlyOnceJournaled(t *testing.T) {
+	e := newDurableEnv(t)
+	gate := &scanGate{entered: make(chan struct{}), release: make(chan struct{})}
+	journal, err := wal.Open(gatedFS{e.fs, gate}, "data/wal-gated", wal.Options{Policy: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Open(Config{Workers: 1, Retention: -1, Journal: journal, Blobs: e.blobs, Audit: e.audit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { close(gate.release); m.Close() })
+	id, err := m.Submit(inspectSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-gate.entered:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the scan record was never written")
+	}
+	// Get may wait for the record (the worker holds the job); if it
+	// answers, it must not show the scan.
+	got := make(chan Status, 1)
+	go func() {
+		st, _ := m.Get(id)
+		got <- st
+	}()
+	var seen Status
+	select {
+	case seen = <-got:
+		if seen.ScansDone != 0 || seen.State.Terminal() || seen.Results[0].AuditID != "" {
+			t.Errorf("scan visible before its journal record: %+v", seen)
+		}
+	case <-time.After(200 * time.Millisecond):
+	}
+
+	// kill -9: the blocked worker lives on in the old namespace.
+	e.fs = e.fs.Reboot(store.CrashOpts{})
+	e.boot()
+	if e.wal, err = wal.Open(e.fs, "data/wal-gated", wal.Options{Policy: wal.SyncAlways}); err != nil {
+		t.Fatal(err)
+	}
+	m2 := e.manager()
+	defer m2.Close()
+	after := waitTerminal(t, m2, id)
+	if len(seen.Results) > 0 && seen.Results[0].AuditID != "" && seen.Results[0].AuditID != after.Results[0].AuditID {
+		t.Errorf("audit id %q served before the crash, %q after", seen.Results[0].AuditID, after.Results[0].AuditID)
 	}
 }

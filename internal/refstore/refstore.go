@@ -25,7 +25,6 @@
 package refstore
 
 import (
-	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
@@ -171,7 +170,7 @@ func (s *Store) loadFromDiskLocked(id string) *entry {
 	if err != nil {
 		return nil
 	}
-	img, err := rle.ReadBinary(bytes.NewReader(data))
+	img, err := rle.DecodeBinary(data)
 	if err != nil {
 		return nil
 	}
@@ -211,11 +210,7 @@ func ContentID(img *rle.Image) (string, error) {
 	if err := img.Validate(); err != nil {
 		return "", fmt.Errorf("refstore: %w", err)
 	}
-	var buf bytes.Buffer
-	if err := rle.WriteBinary(&buf, img.Canonicalize()); err != nil {
-		return "", fmt.Errorf("refstore: encoding: %w", err)
-	}
-	sum := sha256.Sum256(buf.Bytes())
+	sum := sha256.Sum256(rle.AppendBinary(nil, img.Canonicalize()))
 	return hex.EncodeToString(sum[:]), nil
 }
 
@@ -227,18 +222,15 @@ func (s *Store) Put(img *rle.Image) (Meta, error) {
 		return Meta{}, fmt.Errorf("refstore: %w", err)
 	}
 	canon := img.Canonicalize()
-	var buf bytes.Buffer
-	if err := rle.WriteBinary(&buf, canon); err != nil {
-		return Meta{}, fmt.Errorf("refstore: encoding: %w", err)
-	}
-	sum := sha256.Sum256(buf.Bytes())
+	data := rle.AppendBinary(nil, canon)
+	sum := sha256.Sum256(data)
 	id := hex.EncodeToString(sum[:])
 
 	// Write-through: the blob must be durable before the upload is
 	// acknowledged. The blob store dedupes by content, so re-uploads
 	// cost one Stat.
 	if s.cfg.Disk != nil {
-		if _, err := s.cfg.Disk.Put(buf.Bytes()); err != nil {
+		if _, err := s.cfg.Disk.Put(data); err != nil {
 			return Meta{}, fmt.Errorf("refstore: durable tier: %w", err)
 		}
 	}
@@ -258,11 +250,11 @@ func (s *Store) Put(img *rle.Image) (Meta, error) {
 			Height:       canon.Height,
 			Runs:         runs,
 			Area:         canon.Area(),
-			EncodedBytes: buf.Len(),
+			EncodedBytes: len(data),
 			DecodedBytes: decodedSize(canon.Width, canon.Height, runs),
 			Created:      s.cfg.Clock.Now(),
 		},
-		encoded:  buf.Bytes(),
+		encoded:  data,
 		lastUsed: s.cfg.Clock.Now(),
 	}
 	s.refs[id] = e
@@ -296,7 +288,7 @@ func (s *Store) Get(id string) (*rle.Image, error) {
 	if s.misses != nil {
 		s.misses.Inc()
 	}
-	img, err := rle.ReadBinary(bytes.NewReader(e.encoded))
+	img, err := rle.DecodeBinary(e.encoded)
 	if err != nil {
 		// Unreachable for bytes we encoded ourselves, but fail loudly
 		// rather than hand out a nil image.

@@ -2,6 +2,7 @@ package rle
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -25,6 +26,15 @@ import (
 //     height, then per row a uvarint run count followed by
 //     delta-encoded uvarint gaps and lengths. Delta encoding keeps
 //     typical PCB-style imagery at a few bits per run.
+//
+// RLEB has one decoder, RowDecoder, over an in-memory stream: it
+// yields one row at a time, so a consumer such as the /v1/diff handler
+// never builds the image. DecodeBinary drains it into an Image, and
+// ReadBinary reads its io.Reader to EOF first. Its per-run bounds
+// checks imply every Row.Validate invariant, so no decoded image is
+// validated a second time. The encoders append: AppendBinaryHeader and
+// AppendBinaryRow stream an image row by row, AppendBinary and
+// WriteBinary encode a whole one.
 
 const (
 	textMagic   = "RLET"
@@ -146,111 +156,208 @@ func parseRunToken(tok string) (start, length int, err error) {
 	return start, length, nil
 }
 
-// WriteBinary serializes the image in the binary format.
-func WriteBinary(w io.Writer, img *Image) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	if err := putUvarint(uint64(img.Width)); err != nil {
-		return err
-	}
-	if err := putUvarint(uint64(img.Height)); err != nil {
-		return err
-	}
-	for _, row := range img.Rows {
-		if err := putUvarint(uint64(len(row))); err != nil {
-			return err
-		}
-		pos := 0
-		for _, r := range row {
-			if err := putUvarint(uint64(r.Start - pos)); err != nil {
-				return err
-			}
-			if err := putUvarint(uint64(r.Length)); err != nil {
-				return err
-			}
-			pos = r.End() + 1
-		}
-	}
-	return bw.Flush()
+// AppendBinaryHeader appends the RLEB header of a width×height image
+// to dst: the magic and the two dimensions.
+func AppendBinaryHeader(dst []byte, width, height int) []byte {
+	dst = append(dst, binaryMagic...)
+	dst = binary.AppendUvarint(dst, uint64(width))
+	return binary.AppendUvarint(dst, uint64(height))
 }
 
-// ReadBinary parses the binary format and validates the result.
-func ReadBinary(r io.Reader) (*Image, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != binaryMagic {
+// AppendBinaryRow appends one row's RLEB encoding to dst: the run
+// count, then each run's gap from the previous run's end and its
+// length. A stream is AppendBinaryHeader followed by every row in
+// order.
+func AppendBinaryRow(dst []byte, row Row) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(row)))
+	pos := 0
+	for _, r := range row {
+		dst = binary.AppendUvarint(dst, uint64(r.Start-pos))
+		dst = binary.AppendUvarint(dst, uint64(r.Length))
+		pos = r.Start + r.Length
+	}
+	return dst
+}
+
+// AppendBinary appends the image's RLEB encoding to dst.
+func AppendBinary(dst []byte, img *Image) []byte {
+	dst = AppendBinaryHeader(dst, img.Width, img.Height)
+	for _, row := range img.Rows {
+		dst = AppendBinaryRow(dst, row)
+	}
+	return dst
+}
+
+// WriteBinary serializes the image in the binary format.
+func WriteBinary(w io.Writer, img *Image) error {
+	_, err := w.Write(AppendBinary(nil, img))
+	return err
+}
+
+// RowDecoder decodes an in-memory RLEB stream one row at a time, so a
+// consumer can work on row y before row y+1 is decoded. It is the one
+// RLEB decoder: DecodeBinary and ReadBinary drain it into an Image.
+//
+// Every run is bounds-checked as it is read: the row's run count, the
+// gap and the length are each at most the width, the length is
+// positive, and the run ends inside the row. Each run starts one past
+// the previous run's end plus its gap, so these checks already imply
+// every Row.Validate invariant, and decoded images are not validated
+// again. Bytes after the last row are ignored.
+type RowDecoder struct {
+	Width, Height int
+	data          []byte
+	off, y        int
+	err           error
+}
+
+// errVarint reports a uvarint cut short by the end of the stream or
+// longer than 64 bits.
+var errVarint = errors.New("truncated or overlong uvarint")
+
+// NewRowDecoder checks the stream's magic and header. A header whose
+// height the remaining bytes cannot back (every row takes at least its
+// one-byte run count) is rejected before anything is sized by it.
+func NewRowDecoder(data []byte) (*RowDecoder, error) {
+	if len(data) < len(binaryMagic) || string(data[:len(binaryMagic)]) != binaryMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrFormat)
 	}
-	width, err := binary.ReadUvarint(br)
+	d := &RowDecoder{data: data, off: len(binaryMagic)}
+	width, err := d.uvarint()
 	if err != nil {
 		return nil, fmt.Errorf("rle: reading width: %w", err)
 	}
-	height, err := binary.ReadUvarint(br)
+	height, err := d.uvarint()
 	if err != nil {
 		return nil, fmt.Errorf("rle: reading height: %w", err)
 	}
-	if width > maxDim || height > maxDim {
-		return nil, fmt.Errorf("%w: implausible dimensions %dx%d", ErrFormat, width, height)
-	}
+	// Values past maxDim, including those int() wraps negative, fail
+	// checkDimensions.
 	if err := checkDimensions(int(width), int(height)); err != nil {
 		return nil, err
 	}
-	// Rows grow as body bytes are actually decoded; a forged header
-	// claiming height=2^30 with a truncated body fails at the first
-	// missing row count instead of allocating gigabytes up front.
-	img := &Image{Width: int(width), Height: int(height)}
-	for y := 0; y < int(height); y++ {
-		count, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("rle: row %d count: %w", y, err)
-		}
-		if count > width {
-			return nil, fmt.Errorf("rle: row %d: %d runs exceed width %d", y, count, width)
-		}
-		// The claimed run count is not yet backed by bytes either, so
-		// cap the preallocation; append grows past it only as runs
-		// really decode.
-		sizeHint := count
-		if sizeHint > 4096 {
-			sizeHint = 4096
-		}
-		row := make(Row, 0, sizeHint)
-		pos := 0
-		for i := uint64(0); i < count; i++ {
-			gap, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("rle: row %d run %d gap: %w", y, i, err)
-			}
-			length, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("rle: row %d run %d length: %w", y, i, err)
-			}
-			// Reject runs that could not fit in the row before doing
-			// any int arithmetic on them: huge uvarints would overflow
-			// Start/End and could slip past Validate.
-			if gap > uint64(img.Width) || length == 0 || length > uint64(img.Width) {
-				return nil, fmt.Errorf("rle: row %d run %d: gap %d / length %d outside width %d", y, i, gap, length, img.Width)
-			}
-			start := pos + int(gap)
-			if start+int(length) > img.Width {
-				return nil, fmt.Errorf("rle: row %d run %d: extends to %d beyond width %d", y, i, start+int(length)-1, img.Width)
-			}
-			run := Run{Start: start, Length: int(length)}
-			row = append(row, run)
-			pos = run.End() + 1
-		}
-		img.Rows = append(img.Rows, row)
+	if rest := len(data) - d.off; height > uint64(rest) {
+		return nil, fmt.Errorf("rle: %d rows in %d bytes: %w", height, rest, io.ErrUnexpectedEOF)
 	}
-	if err := img.Validate(); err != nil {
+	d.Width, d.Height = int(width), int(height)
+	return d, nil
+}
+
+// uvarint reads the next uvarint, with a fast path for the one-byte
+// values that make up most of a stream.
+func (d *RowDecoder) uvarint() (uint64, error) {
+	if d.off < len(d.data) && d.data[d.off] < 0x80 {
+		d.off++
+		return uint64(d.data[d.off-1]), nil
+	}
+	v, n := binary.Uvarint(d.data[d.off:])
+	if n <= 0 {
+		return 0, errVarint
+	}
+	d.off += n
+	return v, nil
+}
+
+// Next appends the next row's runs to dst. An error is sticky: every
+// later call returns it again.
+func (d *RowDecoder) Next(dst Row) (Row, error) {
+	if d.err == nil {
+		dst, d.err = d.next(dst)
+	}
+	return dst, d.err
+}
+
+func (d *RowDecoder) next(dst Row) (Row, error) {
+	y, width := d.y, uint64(d.Width)
+	if y >= d.Height {
+		return dst, fmt.Errorf("rle: row %d past height %d", y, d.Height)
+	}
+	count, err := d.uvarint()
+	if err != nil {
+		return dst, fmt.Errorf("rle: row %d count: %w", y, err)
+	}
+	if count > width {
+		return dst, fmt.Errorf("rle: row %d: %d runs exceed width %d", y, count, width)
+	}
+	pos := 0
+	for i := uint64(0); i < count; i++ {
+		gap, err := d.uvarint()
+		if err != nil {
+			return dst, fmt.Errorf("rle: row %d run %d gap: %w", y, i, err)
+		}
+		length, err := d.uvarint()
+		if err != nil {
+			return dst, fmt.Errorf("rle: row %d run %d length: %w", y, i, err)
+		}
+		// Reject runs that could not fit in the row before doing any
+		// int arithmetic on them: huge uvarints would overflow.
+		if gap > width || length == 0 || length > width {
+			return dst, fmt.Errorf("rle: row %d run %d: gap %d / length %d outside width %d", y, i, gap, length, width)
+		}
+		start := pos + int(gap)
+		if pos = start + int(length); pos > d.Width {
+			return dst, fmt.Errorf("rle: row %d run %d: extends to %d beyond width %d", y, i, pos-1, width)
+		}
+		dst = append(dst, Run{Start: start, Length: int(length)})
+	}
+	d.y++
+	return dst, nil
+}
+
+// Size returns the image's dimensions.
+func (d *RowDecoder) Size() (width, height int) { return d.Width, d.Height }
+
+// ReadRow serves row y, which must be the next row, appended to dst:
+// a RowDecoder is a sequential row source.
+func (d *RowDecoder) ReadRow(y int, dst Row) (Row, error) {
+	if y != d.y && d.err == nil {
+		d.err = fmt.Errorf("rle: row %d requested, next is %d", y, d.y)
+	}
+	return d.Next(dst)
+}
+
+// Finish decodes the rows not yet read, discarding them, and returns
+// nil when the whole stream is well formed, otherwise the first
+// malformed row's error.
+func (d *RowDecoder) Finish() error {
+	var row Row
+	for d.err == nil && d.y < d.Height {
+		row, _ = d.Next(row[:0])
+	}
+	return d.err
+}
+
+// DecodeBinary decodes a whole RLEB stream. All runs share one backing
+// array, sized from the stream length since every run takes at least
+// two bytes, and each row is capacity-clipped so appending to one row
+// cannot clobber the next. An empty row decodes as nil.
+func DecodeBinary(data []byte) (*Image, error) {
+	d, err := NewRowDecoder(data)
+	if err != nil {
 		return nil, err
 	}
+	img := &Image{Width: d.Width, Height: d.Height, Rows: make([]Row, d.Height)}
+	runs := make(Row, 0, (len(data)-d.off)/2)
+	for y := range img.Rows {
+		start := len(runs)
+		if runs, err = d.Next(runs); err != nil {
+			return nil, err
+		}
+		if end := len(runs); end > start {
+			img.Rows[y] = runs[start:end:end]
+		}
+	}
 	return img, nil
+}
+
+// ReadBinary reads r to EOF and decodes it with DecodeBinary. Unlike a
+// streaming reader it consumes any bytes after the last row too.
+func ReadBinary(r io.Reader) (*Image, error) {
+	// bytes.Buffer grows by doubling: about half the copying and
+	// allocation of io.ReadAll on a large stream.
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, err
+	}
+	return DecodeBinary(buf.Bytes())
 }

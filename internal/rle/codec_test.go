@@ -161,6 +161,17 @@ func TestReadBinaryForgedHeader(t *testing.T) {
 		if _, err := ReadBinary(bytes.NewReader(c.in)); err == nil {
 			t.Errorf("%s: ReadBinary accepted forged input", c.name)
 		}
+		if _, err := DecodeBinary(c.in); err == nil {
+			t.Errorf("%s: DecodeBinary accepted forged input", c.name)
+		}
+		if d, err := NewRowDecoder(c.in); err == nil {
+			for err == nil && d.y < d.Height {
+				_, err = d.Next(nil)
+			}
+			if err == nil {
+				t.Errorf("%s: RowDecoder accepted forged input", c.name)
+			}
+		}
 	}
 	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
 		t.Errorf("forged headers took %v, want <100ms", elapsed)

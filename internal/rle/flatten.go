@@ -78,7 +78,7 @@ type CompressionStats struct {
 	Runs       int
 	MeanRunLen float64
 	// BitmapBytes is the packed 1-bpp size; RLEBytes the binary RLE
-	// encoding size estimate (varint-coded, as WriteBinary emits).
+	// encoding size (varint-coded, as WriteBinary emits).
 	BitmapBytes int
 	RLEBytes    int
 	// Ratio is BitmapBytes/RLEBytes (>1 means RLE wins).
@@ -98,34 +98,9 @@ func Stats(img *Image) CompressionStats {
 		s.MeanRunLen = float64(s.Foreground) / float64(s.Runs)
 	}
 	s.BitmapBytes = ((img.Width + 7) / 8) * img.Height
-	s.RLEBytes = binaryEncodedSize(img)
+	s.RLEBytes = len(AppendBinary(nil, img))
 	if s.RLEBytes > 0 {
 		s.Ratio = float64(s.BitmapBytes) / float64(s.RLEBytes)
 	}
 	return s
-}
-
-// binaryEncodedSize computes the exact WriteBinary output size
-// without materializing it.
-func binaryEncodedSize(img *Image) int {
-	n := 4 + uvarintLen(uint64(img.Width)) + uvarintLen(uint64(img.Height))
-	for _, row := range img.Rows {
-		n += uvarintLen(uint64(len(row)))
-		pos := 0
-		for _, r := range row {
-			n += uvarintLen(uint64(r.Start - pos))
-			n += uvarintLen(uint64(r.Length))
-			pos = r.End() + 1
-		}
-	}
-	return n
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
 }

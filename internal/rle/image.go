@@ -44,6 +44,14 @@ func (img *Image) Row(y int) Row {
 	return img.Rows[y]
 }
 
+// Size returns the image's dimensions.
+func (img *Image) Size() (width, height int) { return img.Width, img.Height }
+
+// ReadRow returns stored row y itself, not a copy in dst: an Image is
+// a random-access row source. Unlike Row it panics on an out-of-range
+// y, as a short Rows slice is a malformed image.
+func (img *Image) ReadRow(y int, _ Row) (Row, error) { return img.Rows[y], nil }
+
 // SetRow replaces scanline y. It panics on out-of-range y: unlike
 // reads, writes outside the image are always a bug.
 func (img *Image) SetRow(y int, row Row) {

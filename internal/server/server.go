@@ -152,9 +152,11 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"mime/multipart"
 	"net/http"
@@ -552,6 +554,32 @@ func (s *Server) parseUploads(w http.ResponseWriter, r *http.Request, fieldA, fi
 	return a, b, true
 }
 
+// diffSource reads upload field as a /v1/diff operand. An RLEB part
+// is decoded one row at a time as the diff consumes it; any other
+// format decodes to a whole image.
+func diffSource(r *http.Request, field string) (sysrle.RowSource, error) {
+	file, fh, err := r.FormFile(field)
+	if err != nil {
+		return nil, fmt.Errorf("missing upload %q: %v", field, err)
+	}
+	defer file.Close()
+	data := make([]byte, fh.Size)
+	var src sysrle.RowSource
+	if _, err = io.ReadFull(file, data); err == nil && bytes.HasPrefix(data, []byte("RLEB")) {
+		src, err = rle.NewRowDecoder(data)
+	} else if err == nil {
+		src, err = imageio.Read(bytes.NewReader(data))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("upload %q: %v", field, err)
+	}
+	return src, nil
+}
+
+// handleDiff streams: RLEB uploads are decoded row by row as the
+// engine consumes them, and a format=rleb answer is encoded row by row
+// as the engine produces it, so neither the upload nor the difference
+// is built as an image.
 func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	engine, err := s.engineFromQuery(r)
 	if err != nil {
@@ -566,19 +594,62 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, r, http.StatusBadRequest, fmt.Errorf("unknown format %q (have %v)", format, imageio.Formats()))
 		return
 	}
-	a, b, ok := s.parseUploads(w, r, "a", "b")
-	if !ok {
+	if !s.parseForm(w, r) {
 		return
 	}
-	diff, stats, err := sysrle.DiffImage(a, b,
-		sysrle.WithEngine(engine),
-		sysrle.WithContext(r.Context()))
+	defer cleanupForm(r.MultipartForm)
+	var a, b sysrle.RowSource
+	if id := r.URL.Query().Get("ref"); id != "" {
+		ref, ok := s.storedRef(w, r, id)
+		if !ok {
+			return
+		}
+		a = ref
+	} else if a, err = diffSource(r, "a"); err != nil {
+		s.httpError(w, r, http.StatusBadRequest, err)
+		return
+	}
+	if b, err = diffSource(r, "b"); err != nil {
+		s.httpError(w, r, http.StatusBadRequest, err)
+		return
+	}
+	width, height := a.Size()
+	var diff *rle.Image
+	body, pixels := rle.AppendBinaryHeader(nil, width, height), 0
+	sink := func(int) func(int, rle.Row) {
+		return func(_ int, row rle.Row) {
+			body = rle.AppendBinaryRow(body, row)
+			pixels += row.Area()
+		}
+	}
+	if format != "rleb" {
+		diff = rle.NewImage(width, height)
+		sink = core.PersistRows(diff)
+	}
+	// One worker: a RowDecoder serves its rows in order, and the rleb
+	// answer is appended in order. Requests are the parallelism.
+	stats, err := sysrle.DiffRows(a, b, sink,
+		sysrle.WithEngine(engine), sysrle.WithContext(r.Context()), sysrle.WithWorkers(1))
 	if err != nil {
+		// A malformed upload is the client's error however far the
+		// diff got, so each streamed upload is decoded to its end
+		// before a size mismatch or an engine failure is reported.
+		for i, src := range []sysrle.RowSource{a, b} {
+			if dec, ok := src.(*rle.RowDecoder); ok && dec.Finish() != nil {
+				s.httpError(w, r, http.StatusBadRequest, fmt.Errorf("upload %q: %v", "ab"[i:i+1], dec.Finish()))
+				return
+			}
+		}
 		s.httpError(w, r, http.StatusUnprocessableEntity, err)
 		return
 	}
 	s.recordEngine(engine.Name(), stats.TotalIterations, stats.RowsDiffering)
-	apiclient.WriteDiff(w, format, diff, *stats, engine.Name())
+	if diff != nil {
+		apiclient.WriteDiff(w, format, diff, *stats, engine.Name())
+		return
+	}
+	apiclient.SetDiffHeaders(w.Header(), format, *stats, engine.Name(), pixels)
+	_, _ = w.Write(body)
 }
 
 // inspectResponse is the JSON shape of /v1/inspect.

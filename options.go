@@ -73,11 +73,29 @@ func WithBufferReuse(enabled bool) Option { return func(c *config) { c.reuse = e
 //		sysrle.WithWorkers(4),
 //		sysrle.WithContext(ctx))
 func DiffImage(a, b *Image, opts ...Option) (*Image, *ImageStats, error) {
+	diff := NewImage(a.Width, a.Height)
+	stats, err := DiffRows(a, b, core.PersistRows(diff), opts...)
+	if err != nil {
+		return nil, nil, err
+	}
+	return diff, stats, nil
+}
+
+// RowSource serves one operand's rows to DiffRows: an *Image, or an
+// rle.RowDecoder decoding an RLEB stream one row at a time.
+type RowSource = core.RowSource
+
+// DiffRows is DiffImage without the result image: the worker w that
+// finishes difference row y hands it to sink(w), and the row is that
+// worker's scratch, valid only during the call. A sequential source
+// (rle.RowDecoder) or an order-dependent sink needs WithWorkers(1).
+func DiffRows(a, b RowSource, sink func(w int) func(y int, row Row), opts ...Option) (*ImageStats, error) {
 	cfg := defaultConfig()
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	workers := core.RowWorkers(cfg.engine, cfg.workers, a.Height)
+	_, height := a.Size()
+	workers := core.RowWorkers(cfg.engine, cfg.workers, height)
 	// When the shared engine is a Verified, the recovered-fault count
 	// over this image is the counter's growth during the run.
 	var verified *core.Verified
@@ -86,7 +104,7 @@ func DiffImage(a, b *Image, opts ...Option) (*Image, *ImageStats, error) {
 		verified = v
 		recoveredBase = v.Recovered()
 	}
-	res, err := core.XORRows(cfg.ctx, a, b, workers, func(int) core.Engine {
+	s, err := core.XORRows(cfg.ctx, a, b, workers, func(int) core.Engine {
 		eng := cfg.engine
 		if eng == nil {
 			eng = planner.New()
@@ -95,11 +113,10 @@ func DiffImage(a, b *Image, opts ...Option) (*Image, *ImageStats, error) {
 			eng = allocPerRow{eng}
 		}
 		return eng
-	})
+	}, sink)
 	if err != nil {
-		return nil, nil, fmt.Errorf("sysrle: %w", err)
+		return nil, fmt.Errorf("sysrle: %w", err)
 	}
-	s := res.Stats()
 	stats := &ImageStats{
 		TotalIterations:  s.TotalIterations,
 		MaxRowIterations: s.MaxRowIterations,
@@ -110,7 +127,7 @@ func DiffImage(a, b *Image, opts ...Option) (*Image, *ImageStats, error) {
 	if verified != nil {
 		stats.FaultsRecovered = int(verified.Recovered() - recoveredBase)
 	}
-	return res.Image, stats, nil
+	return stats, nil
 }
 
 // allocPerRow hides an engine's append path, so every row allocates
