@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race ci chaos chaos-disk oracle perfbench-smoke cover bench bench-json calibrate perf-smoke experiments fuzz cluster-smoke cluster-bench clean
+.PHONY: all build test vet race ci chaos chaos-disk oracle perfbench-smoke cover bench bench-json calibrate perf-smoke experiments fuzz cluster-smoke clean
 
 all: build vet test
 
@@ -103,20 +103,13 @@ perf-smoke:
 experiments:
 	$(GO) run ./cmd/benchtab -all
 
-# Multi-process cluster smoke: builds the real sysdiffd and loadgen
-# binaries, boots a coordinator + 2 shard processes, runs a seeded
-# loadgen burst, and asserts the coordinator's scatter-gather answers
-# are byte-identical to a single node (mirrors the ci.yml
-# cluster-smoke job).
+# Multi-process cluster smoke: builds the real sysdiffd binary, boots
+# a coordinator + 3 shard processes, sends a seeded ref-diff burst
+# through the typed client, and asserts the coordinator's answers are
+# byte-identical to a single node's, also after a shard is killed
+# (mirrors the ci.yml cluster-smoke job).
 cluster-smoke:
 	SYSRLE_CLUSTER_SMOKE=1 $(GO) test -run TestClusterSmoke -v ./cmd/sysdiffd/
-
-# Regenerate the committed cluster benchmark report: the same seeded
-# open-loop burst against one node and against a coordinator fronting
-# three shards (1-node vs 3-shard p50/p99 plus the ref-placement
-# cache-hit ratio).
-cluster-bench:
-	scripts/cluster_bench.sh BENCH_PR9.json
 
 # Short fuzzing passes over the decoders and the run-native
 # morphology row kernels.

@@ -1,13 +1,15 @@
 package main
 
-// Multi-process cluster smoke: build the real binaries, boot a
-// coordinator with -replicas=2 fronting three shard processes, drive
-// a seeded loadgen burst, check the coordinator's scatter-gather diff
-// answers byte-identically to a single node, then kill one shard and
-// check every reference still reads byte-identical from its replica —
-// zero 404s, before any rebalance. Gated behind SYSRLE_CLUSTER_SMOKE=1
-// because it compiles two binaries and forks four daemons —
-// `make cluster-smoke` sets the gate.
+// Multi-process cluster smoke: build the real binary, boot a
+// coordinator with -replicas=2 fronting three shard processes, check
+// the coordinator's answer to a tall inline diff is byte-identical to
+// a single node's, send a seeded ref-diff burst through the typed
+// client and read the ref-route hit ratio from the coordinator's
+// /debug/vars, then kill one shard and check every reference still
+// reads byte-identical from its replica — zero 404s, before any
+// rebalance. Gated behind SYSRLE_CLUSTER_SMOKE=1 because it compiles
+// a binary and forks four daemons — `make cluster-smoke` sets the
+// gate.
 
 import (
 	"bufio"
@@ -22,6 +24,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -123,80 +126,76 @@ func TestClusterSmoke(t *testing.T) {
 	}
 	dir := t.TempDir()
 	sysdiffd := buildBinary(t, dir, "./cmd/sysdiffd")
-	loadgen := buildBinary(t, dir, "./cmd/loadgen")
 
 	shard1 := startDaemon(t, sysdiffd)
 	shard2 := startDaemon(t, sysdiffd)
 	shard3, killShard3 := startKillableDaemon(t, sysdiffd)
 	coord := startDaemon(t, sysdiffd,
-		"-coordinator", "-peers", shard1+","+shard2+","+shard3,
-		"-replicas", "2", "-split-rows", "48")
+		"-coordinator", "-peers", shard1+","+shard2+","+shard3, "-replicas", "2")
 	for _, base := range []string{shard1, shard2, shard3, coord} {
 		waitReady(t, base)
 	}
 
-	// Scatter-gather correctness: the coordinator's diff of a tall
-	// image must be byte-identical to a single shard's answer.
+	// A tall inline diff is forwarded whole: the coordinator's answer
+	// must be byte-identical to a single shard's.
 	rng := workloadRNG(41)
-	a, err := workload.GenerateImage(rng, workload.PaperRow(320, 0.3), 400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := workload.GenerateImage(rng, workload.PaperRow(320, 0.3), 400)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := smokeImage(t, rng, 320, 400), smokeImage(t, rng, 320, 400)
 	single := rawDiff(t, shard1, a, b)
 	clustered := rawDiff(t, coord, a, b)
 	if !bytes.Equal(single, clustered) {
-		t.Fatalf("coordinator scatter-gather diff differs from single node (%d vs %d bytes)",
+		t.Fatalf("coordinator diff differs from single node (%d vs %d bytes)",
 			len(single), len(clustered))
 	}
 
-	// Seeded loadgen burst against the coordinator: no errors, and the
-	// refhot workload leaves a ref-placement hit ratio in telemetry.
-	benchOut := filepath.Join(dir, "smoke-bench.json")
-	cmd := exec.Command(loadgen,
-		"-targets", "cluster="+coord,
-		"-workload", "refhot", "-rate", "40", "-duration", "2s",
-		"-width", "256", "-height", "128", "-refs", "4", "-seed", "5",
-		"-o", benchOut)
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("loadgen: %v\n%s", err, out)
+	// Seeded ref-diff burst: every diff answers, and each one was
+	// routed to its reference's owners (hit ratio 1).
+	coordClient := apiclient.MustNew(coord, apiclient.Options{Timeout: 5 * time.Second})
+	ctx := context.Background()
+	rng = workloadRNG(5)
+	var refIDs []string
+	var scans []*rle.Image
+	for i := 0; i < 4; i++ {
+		meta, err := coordClient.PutReference(ctx, smokeImage(t, rng, 256, 128))
+		if err != nil {
+			t.Fatalf("PutReference %d: %v", i, err)
+		}
+		refIDs = append(refIDs, meta.ID)
+		scans = append(scans, smokeImage(t, rng, 256, 128))
 	}
-	data, err := os.ReadFile(benchOut)
+	const burst = 32
+	errs := make(chan error, burst)
+	var wg sync.WaitGroup
+	for i := 0; i < burst; i++ {
+		req := apiclient.DiffRequest{RefID: refIDs[rng.Intn(len(refIDs))], B: scans[rng.Intn(len(scans))]}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := coordClient.Diff(ctx, req); err != nil {
+				errs <- err
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("ref diff burst: %v", err)
+	}
+	vars, err := coordClient.Vars(ctx)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("coordinator /debug/vars: %v", err)
 	}
-	var rep struct {
-		Targets []struct {
-			Requests         int      `json:"requests"`
-			Errors           int      `json:"errors"`
-			P50Ms            float64  `json:"p50_ms"`
-			RefCacheHitRatio *float64 `json:"ref_cache_hit_ratio"`
-		} `json:"targets"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("bench report: %v\n%s", err, data)
-	}
-	if len(rep.Targets) != 1 || rep.Targets[0].Errors != 0 || rep.Targets[0].Requests < 10 {
-		t.Fatalf("loadgen burst: %+v", rep.Targets)
-	}
-	if rep.Targets[0].RefCacheHitRatio == nil || *rep.Targets[0].RefCacheHitRatio <= 0 {
-		t.Fatalf("coordinator exposed no ref-placement hit ratio: %+v", rep.Targets[0])
+	hits := counterTotal(t, vars, "sysrle_cluster_ref_route_hits_total")
+	misses := counterTotal(t, vars, "sysrle_cluster_ref_route_misses_total")
+	if hits != burst || misses != 0 {
+		t.Fatalf("ref-route hit ratio %d/%d, want %d/%d", hits, hits+misses, burst, burst)
 	}
 
 	// Replication failover: register references, kill one shard, and
 	// every reference must still read byte-identical canonical RLEB
 	// through the coordinator — zero 404s — before any rebalance runs.
-	coordClient := apiclient.MustNew(coord, apiclient.Options{Timeout: 5 * time.Second})
-	ctx := context.Background()
 	content := map[string][]byte{}
 	for i := 0; i < 6; i++ {
-		img, err := workload.GenerateImage(workloadRNG(int64(90+i)), workload.PaperRow(128, 0.3), 96)
-		if err != nil {
-			t.Fatal(err)
-		}
+		img := smokeImage(t, workloadRNG(int64(90+i)), 128, 96)
 		meta, err := coordClient.PutReference(ctx, img)
 		if err != nil {
 			t.Fatalf("PutReference %d: %v", i, err)
@@ -291,3 +290,27 @@ func multipartImages(buf *bytes.Buffer, images map[string]*rle.Image) (contentTy
 }
 
 func workloadRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+func smokeImage(t *testing.T, rng *rand.Rand, width, height int) *rle.Image {
+	t.Helper()
+	img, err := workload.GenerateImage(rng, workload.PaperRow(width, 0.3), height)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// counterTotal sums one counter family of a /debug/vars snapshot over
+// its label sets; an absent family counts 0.
+func counterTotal(t *testing.T, vars map[string]map[string]json.RawMessage, family string) int64 {
+	t.Helper()
+	var total int64
+	for _, raw := range vars[family] {
+		var v int64
+		if err := json.Unmarshal(raw, &v); err != nil {
+			t.Fatalf("%s: %v", family, err)
+		}
+		total += v
+	}
+	return total
+}

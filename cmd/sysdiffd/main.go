@@ -45,14 +45,11 @@
 //	                         fronts the shard ring named by -peers
 //	                         instead of processing images locally.
 //	                         References are placed by consistent
-//	                         hashing; huge diffs scatter by row range
-//	                         and merge back exactly
+//	                         hashing; every other call is forwarded
+//	                         whole to one shard, round-robin
 //	-peers ""                comma-separated shard base URLs for
 //	                         -coordinator, e.g.
 //	                         "http://10.0.0.1:8422,http://10.0.0.2:8422"
-//	-split-rows 64           minimum rows per band before a diff
-//	                         scatters across shards (<0 disables
-//	                         splitting)
 //	-peer-timeout 30s        per-shard call deadline in coordinator mode
 //	-peer-retries 2          retry budget for idempotent shard calls
 //	-hedge 0                 launch a duplicate shard call if the first
@@ -141,7 +138,6 @@ type options struct {
 
 	coordinator   bool
 	peers         string
-	splitRows     int
 	peerTimeout   time.Duration
 	peerRetries   int
 	hedge         time.Duration
@@ -200,8 +196,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 		"serve as a cluster coordinator fronting the shards named by -peers")
 	fs.StringVar(&o.peers, "peers", "",
 		"comma-separated shard base URLs for -coordinator")
-	fs.IntVar(&o.splitRows, "split-rows", cluster.DefaultSplitRows,
-		"minimum rows per band before a diff scatters across shards (<0 disables)")
 	fs.DurationVar(&o.peerTimeout, "peer-timeout", cluster.DefaultPeerTimeout,
 		"per-shard call deadline in coordinator mode")
 	fs.IntVar(&o.peerRetries, "peer-retries", 2,
@@ -256,7 +250,6 @@ func buildHandler(o options, log *slog.Logger) (http.Handler, func(), error) {
 		}
 		c, err := cluster.New(cluster.Config{
 			Peers:          peers,
-			SplitRows:      o.splitRows,
 			PeerTimeout:    o.peerTimeout,
 			Retries:        o.peerRetries,
 			HedgeDelay:     o.hedge,
@@ -271,7 +264,7 @@ func buildHandler(o options, log *slog.Logger) (http.Handler, func(), error) {
 			return nil, nil, err
 		}
 		log.Info("coordinator mode", "peers", len(peers), "replicas", o.replicas,
-			"split_rows", o.splitRows, "hedge", o.hedge.String(), "auto_eject", o.autoEject)
+			"hedge", o.hedge.String(), "auto_eject", o.autoEject)
 		return c, c.Close, nil
 	}
 	h, err := localServer(o, log)

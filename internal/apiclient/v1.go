@@ -89,21 +89,11 @@ func (c *Client) Diff(ctx context.Context, req DiffRequest) (*DiffResult, error)
 	return res, nil
 }
 
-// WriteDiff renders a /v1/diff answer: the difference image in format
-// (one of imageio.Formats), the engine statistics in X-Sysrle-*
-// headers. The cluster coordinator's scatter path and the shard's
-// non-streaming formats render through it; Diff parses it back.
-func WriteDiff(w http.ResponseWriter, format string, diff *rle.Image, stats sysrle.ImageStats, engine string) {
-	SetDiffHeaders(w.Header(), format, stats, engine, diff.Area())
-	// With a valid format a write error can only be a broken
-	// connection; nothing useful remains to send.
-	_ = imageio.Write(w, format, diff)
-}
-
 // SetDiffHeaders sets the headers of a /v1/diff answer whose
-// difference has diffPixels foreground pixels. It is the one writer of
-// those headers, shared by WriteDiff and the shard's streamed rleb
-// answer.
+// difference has diffPixels foreground pixels: the Content-Type of
+// format and the engine statistics in X-Sysrle-* headers, which Diff
+// parses back. It is the one writer of those headers; the shard's
+// /v1/diff answers set them through it in every format.
 func SetDiffHeaders(h http.Header, format string, stats sysrle.ImageStats, engine string, diffPixels int) {
 	h.Set("Content-Type", imageio.ContentType(format))
 	h.Set("X-Sysrle-Engine", engine)

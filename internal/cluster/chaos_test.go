@@ -32,7 +32,6 @@ func TestCoordinatorChaosSlowErrorPeers(t *testing.T) {
 	}, telemetry.NewRegistry())
 	_, coordURL := startCoordinator(t, Config{
 		Peers:      shards,
-		SplitRows:  40,
 		Seed:       7,
 		Retries:    5,
 		HedgeDelay: 25 * time.Millisecond,

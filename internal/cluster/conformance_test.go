@@ -55,6 +55,32 @@ func corruptRow(img *rle.Image, y int) part {
 	return part{"b", "b.rleb", data}
 }
 
+// hysteresisPair is a tall pair whose default-planner stats hold only
+// when one planner routes every row in order. Rows 0–48 are empty. Row
+// 49 is dense: its merge/packed price ratio (~1.31) clears the 25%
+// hysteresis and switches the planner to the packed path. Rows 50–149
+// sit in the hysteresis zone (ratio ~0.93), so they stay packed only
+// for a planner that has seen row 49. A diff that restarts the
+// planner at row 50 routes them to the merge and reports other
+// iteration counts for the same body bytes.
+func hysteresisPair() (a, b *rle.Image) {
+	const width, height = 2048, 150
+	a, b = rle.NewImage(width, height), rle.NewImage(width, height)
+	spread := func(runs, offset int) rle.Row {
+		pitch := width / runs
+		row := make(rle.Row, runs)
+		for i := range row {
+			row[i] = rle.Run{Start: i*pitch + offset, Length: pitch / 2}
+		}
+		return row
+	}
+	a.Rows[49], b.Rows[49] = spread(512, 0), spread(512, 1)
+	for y := 50; y < height; y++ {
+		a.Rows[y], b.Rows[y] = spread(100, 0), spread(100, 1)
+	}
+	return a, b
+}
+
 func multipartBody(t *testing.T, parts []part) ([]byte, string) {
 	t.Helper()
 	var buf bytes.Buffer
@@ -192,7 +218,6 @@ func TestConformanceAcrossDeployments(t *testing.T) {
 	_, threeShard := startCoordinator(t, Config{
 		Peers:          []string{startShard(), startShard(), startShard()},
 		Replicas:       2,
-		SplitRows:      40,
 		MaxUploadBytes: maxUpload,
 		Seed:           1,
 	})
@@ -200,8 +225,9 @@ func TestConformanceAcrossDeployments(t *testing.T) {
 
 	ref := genImage(t, 1, 96, 64)
 	scan := genImage(t, 2, 96, 64)
-	tallA := genImage(t, 3, 96, 150) // three 50-row bands on 3 shards
+	tallA := genImage(t, 3, 96, 150)
 	tallB := genImage(t, 4, 96, 150)
+	zoneA, zoneB := hysteresisPair()
 	refID, err := refstore.ContentID(ref)
 	if err != nil {
 		t.Fatal(err)
@@ -211,6 +237,7 @@ func TestConformanceAcrossDeployments(t *testing.T) {
 	garbage := func(field string) part { return part{field, field + ".bin", []byte("not an image")} }
 	oversize := func(field string) part { return part{field, field + ".bin", make([]byte, maxUpload+1)} }
 	tallAp, tallBp := filePart(t, "a", tallA), filePart(t, "b", tallB)
+	zoneAp, zoneBp := filePart(t, "a", zoneA), filePart(t, "b", zoneB)
 	var pbm bytes.Buffer
 	if err := imageio.Write(&pbm, "pbm", scan); err != nil {
 		t.Fatal(err)
@@ -226,7 +253,7 @@ func TestConformanceAcrossDeployments(t *testing.T) {
 		{name: "reference content", method: "GET", path: "/v1/references/{ref}/content", status: 200},
 		{name: "inline diff", method: "POST", path: "/v1/diff?format=rleb",
 			parts: []part{as(R, "a"), as(S, "b")}, status: 200},
-		{name: "scattered diff", method: "POST", path: "/v1/diff?format=pbm&engine=lockstep",
+		{name: "tall inline diff", method: "POST", path: "/v1/diff?format=pbm&engine=lockstep",
 			parts: []part{tallAp, tallBp}, status: 200},
 		{name: "ref diff", method: "POST", path: "/v1/diff?ref={ref}&format=rleb",
 			parts: []part{as(S, "b")}, status: 200},
@@ -234,8 +261,10 @@ func TestConformanceAcrossDeployments(t *testing.T) {
 			parts: []part{scanPBM}, status: 200},
 		{name: "ref diff, lockstep", method: "POST", path: "/v1/diff?ref={ref}&format=rleb&engine=lockstep",
 			parts: []part{as(S, "b")}, status: 200},
-		{name: "scattered rleb diff", method: "POST", path: "/v1/diff?format=rleb",
+		{name: "tall inline rleb diff", method: "POST", path: "/v1/diff?format=rleb",
 			parts: []part{tallAp, tallBp}, status: 200},
+		{name: "tall inline diff, planner hysteresis", method: "POST", path: "/v1/diff?format=rleb",
+			parts: []part{zoneAp, zoneBp}, status: 200},
 		{name: "inline inspect", method: "POST", path: "/v1/inspect?min-area=2",
 			parts: []part{as(R, "ref"), as(S, "scan")}, status: 200},
 		{name: "ref inspect", method: "POST", path: "/v1/inspect?ref={ref}",

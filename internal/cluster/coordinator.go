@@ -21,10 +21,6 @@ import (
 
 // Defaults for Config zero values.
 const (
-	// DefaultSplitRows is the minimum rows per band: an image only
-	// scatters across shards when every shard gets at least this many
-	// rows, so small images never pay the fan-out overhead.
-	DefaultSplitRows = 64
 	// DefaultPeerTimeout bounds one coordinator→shard call.
 	DefaultPeerTimeout = 30 * time.Second
 	// DefaultMaxUploadBytes caps one inbound request body.
@@ -61,9 +57,6 @@ type Config struct {
 	// flapping network ejecting healthy shards is worse than a dead
 	// one answering 503s.
 	AutoEject bool
-	// SplitRows is the minimum band height for row-range scatter;
-	// 0 means DefaultSplitRows, negative disables splitting.
-	SplitRows int
 	// PeerTimeout bounds each shard call; 0 means DefaultPeerTimeout.
 	PeerTimeout time.Duration
 	// HedgeDelay arms the client's slow-shard hedging for idempotent
@@ -86,10 +79,10 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// Coordinator fronts a ring of sysdiffd shards: references are placed
-// by consistent hashing, huge diffs scatter by row range, and
-// everything a shard answers flows back through the same v1 API
-// surface the shards themselves expose.
+// Coordinator fronts a ring of sysdiffd shards as a thin proxy:
+// references are placed by consistent hashing, every other call is
+// forwarded whole to one shard, and everything a shard answers flows
+// back through the same v1 API surface the shards themselves expose.
 type Coordinator struct {
 	cfg      Config
 	ring     *Ring
@@ -125,7 +118,6 @@ type Coordinator struct {
 
 	routeHits    *telemetry.Counter
 	routeMisses  *telemetry.Counter
-	scatterDiffs *telemetry.Counter
 	movedRefs    *telemetry.Counter
 	failovers    *telemetry.Counter
 	suspectPeers *telemetry.Gauge
@@ -136,9 +128,6 @@ type Coordinator struct {
 func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Peers) == 0 {
 		return nil, fmt.Errorf("cluster: no peers configured")
-	}
-	if cfg.SplitRows == 0 {
-		cfg.SplitRows = DefaultSplitRows
 	}
 	if cfg.PeerTimeout <= 0 {
 		cfg.PeerTimeout = DefaultPeerTimeout
@@ -176,8 +165,6 @@ func New(cfg Config) (*Coordinator, error) {
 		"Requests routed to a reference's owners (ref= calls, reference reads) that an owner answered.")
 	c.reg.Help("sysrle_cluster_ref_route_misses_total",
 		"Requests routed to a reference's owners that every owner 404ed (placement miss).")
-	c.reg.Help("sysrle_cluster_scatter_diffs_total",
-		"Diff requests split by row range across shards.")
 	c.reg.Help("sysrle_cluster_rebalance_moved_total",
 		"Reference copies created on ring owners by rebalancing (moves and replica repairs).")
 	c.reg.Help("sysrle_cluster_peer_request_seconds",
@@ -192,7 +179,6 @@ func New(cfg Config) (*Coordinator, error) {
 		"Suspect peers dropped from the ring by the prober under AutoEject.")
 	c.routeHits = c.reg.Counter("sysrle_cluster_ref_route_hits_total")
 	c.routeMisses = c.reg.Counter("sysrle_cluster_ref_route_misses_total")
-	c.scatterDiffs = c.reg.Counter("sysrle_cluster_scatter_diffs_total")
 	c.movedRefs = c.reg.Counter("sysrle_cluster_rebalance_moved_total")
 	c.failovers = c.reg.Counter("sysrle_cluster_failover_total")
 	c.suspectPeers = c.reg.Gauge("sysrle_cluster_suspect_peers")

@@ -112,54 +112,41 @@ var statHeaders = []string{
 	"X-Sysrle-Cells-Total", "X-Sysrle-Cells-Max-Row", "X-Sysrle-Diff-Pixels",
 }
 
-func TestCoordinatorScatterDiffMatchesSingleNode(t *testing.T) {
+// peerCalls sums sysrle_cluster_peer_requests_total over every peer
+// and status class.
+func peerCalls(c *Coordinator) int64 {
+	var n int64
+	for _, v := range c.reg.Snapshot()["sysrle_cluster_peer_requests_total"] {
+		n += v.(int64)
+	}
+	return n
+}
+
+// TestCoordinatorInlineDiffOneShardCall pins the routing policy: an
+// inline diff, however tall, is forwarded whole to one shard, and the
+// shard's answer comes back unchanged.
+func TestCoordinatorInlineDiffOneShardCall(t *testing.T) {
 	shards := startShards(t, 3)
-	c, coordURL := startCoordinator(t, Config{Peers: shards, SplitRows: 40, Seed: 1})
+	c, coordURL := startCoordinator(t, Config{Peers: shards, Seed: 1})
 
 	a := genImage(t, 1, 320, 300)
 	b := genImage(t, 2, 320, 300)
-
-	// Lockstep is pinned: the default planner's iteration counts depend
-	// on the row order each band's planner sees.
-	status, hdr, got := postDiff(t, coordURL, a, b, "format=rleb&engine=lockstep")
+	before := peerCalls(c)
+	status, hdr, got := postDiff(t, coordURL, a, b, "format=rleb")
 	if status != http.StatusOK {
 		t.Fatalf("coordinator diff status = %d, body %s", status, got)
 	}
-	singleStatus, singleHdr, want := postDiff(t, shards[0], a, b, "format=rleb&engine=lockstep")
-	if singleStatus != http.StatusOK {
-		t.Fatalf("single-node diff status = %d", singleStatus)
+	if calls := peerCalls(c) - before; calls != 1 {
+		t.Fatalf("inline diff made %d shard calls, want 1", calls)
 	}
+	_, shardHdr, want := postDiff(t, shards[0], a, b, "format=rleb")
 	if !bytes.Equal(got, want) {
-		t.Fatalf("scatter-gathered diff differs from single-node result (%d vs %d bytes)", len(got), len(want))
+		t.Fatalf("routed diff differs from a shard's (%d vs %d bytes)", len(got), len(want))
 	}
 	for _, h := range statHeaders {
-		if hdr.Get(h) != singleHdr.Get(h) {
-			t.Errorf("header %s: coordinator %q, single-node %q", h, hdr.Get(h), singleHdr.Get(h))
+		if hdr.Get(h) != shardHdr.Get(h) {
+			t.Errorf("header %s: coordinator %q, shard %q", h, hdr.Get(h), shardHdr.Get(h))
 		}
-	}
-	snap := c.reg.Snapshot()
-	if v, ok := snap["sysrle_cluster_scatter_diffs_total"][""]; !ok || v.(int64) == 0 {
-		t.Fatalf("scatter counter not incremented: %v", snap["sysrle_cluster_scatter_diffs_total"])
-	}
-}
-
-func TestCoordinatorSmallImageNoScatter(t *testing.T) {
-	shards := startShards(t, 3)
-	c, coordURL := startCoordinator(t, Config{Peers: shards, SplitRows: 1000, Seed: 1})
-
-	a := genImage(t, 3, 64, 40)
-	b := genImage(t, 4, 64, 40)
-	status, _, got := postDiff(t, coordURL, a, b, "format=rleb")
-	if status != http.StatusOK {
-		t.Fatalf("diff status = %d, body %s", status, got)
-	}
-	_, _, want := postDiff(t, shards[0], a, b, "format=rleb")
-	if !bytes.Equal(got, want) {
-		t.Fatalf("routed diff differs from single-node result")
-	}
-	snap := c.reg.Snapshot()
-	if v, ok := snap["sysrle_cluster_scatter_diffs_total"][""]; ok && v.(int64) != 0 {
-		t.Fatalf("small image should not scatter, counter = %v", v)
 	}
 }
 
@@ -223,7 +210,7 @@ func TestCoordinatorRefPlacementAndRouting(t *testing.T) {
 		t.Fatalf("ref route miss not counted")
 	}
 
-	// The scattered list sees every reference exactly once.
+	// The merged list sees every reference exactly once.
 	list, err := coord.ListReferences(ctx)
 	if err != nil {
 		t.Fatalf("ListReferences: %v", err)
@@ -394,38 +381,6 @@ func TestCoordinatorRingEndpoint(t *testing.T) {
 	}
 	if len(ring.Peers) != 2 || ring.VirtualNodes != DefaultVirtualNodes {
 		t.Fatalf("ring = %+v", ring)
-	}
-}
-
-func TestSplitRows(t *testing.T) {
-	cases := []struct {
-		height, bands, min int
-		want               int // band count
-	}{
-		{300, 3, 40, 3},
-		{300, 3, 200, 1}, // cannot give every shard min rows
-		{10, 5, 4, 2},    // fit = 2
-		{0, 3, 1, 1},     // empty image never scatters
-		{300, 1, 1, 1},   // one shard, one band
-		{7, 3, 1, 3},     // remainder folds into the last band
-		{300, 3, 100, 3}, // exactly fits
-	}
-	for _, tc := range cases {
-		got := splitRows(tc.height, tc.bands, tc.min)
-		if len(got) != tc.want {
-			t.Errorf("splitRows(%d,%d,%d) = %v, want %d bands", tc.height, tc.bands, tc.min, got, tc.want)
-			continue
-		}
-		lo := 0
-		for _, rng := range got {
-			if rng[0] != lo {
-				t.Errorf("splitRows(%d,%d,%d) = %v: gap at %d", tc.height, tc.bands, tc.min, got, lo)
-			}
-			lo = rng[1]
-		}
-		if lo != tc.height {
-			t.Errorf("splitRows(%d,%d,%d) = %v: covers %d of %d rows", tc.height, tc.bands, tc.min, got, lo, tc.height)
-		}
 	}
 }
 

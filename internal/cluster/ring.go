@@ -1,17 +1,16 @@
 // Package cluster scales the inspection service horizontally: a
 // coordinator process places references on a ring of ordinary sysdiffd
 // peers by consistent hashing (each reference's decoded cache lives on
-// exactly one shard) and splits single huge images by row range across
-// shards, scatter-gathering the per-band results and merging their
-// ImageStats associatively. Peers are unmodified sysdiffd processes —
-// the coordinator speaks to them only through the public v1 HTTP API
-// via internal/apiclient, so a shard never knows it is in a cluster.
+// its Replicas ring owners) and forwards every other call whole to one
+// shard, round-robin. Peers are unmodified sysdiffd processes — the
+// coordinator speaks to them only through the public v1 HTTP API via
+// internal/apiclient, so a shard never knows it is in a cluster.
 //
 // The paper's systolic array scales by adding cells that each own a
 // slice of the row stream; the cluster tier is the same move one level
-// up — shards each own a slice of the reference space and of any large
-// image's row range, and the coordinator plays the host interface,
-// distributing work and folding results back together.
+// up — shards each own a slice of the reference space, and the
+// coordinator plays the host interface, handing each whole request to
+// one shard as the host hands each scanline to one array.
 package cluster
 
 import (

@@ -24,21 +24,17 @@ package cluster
 //	      failing over to the next replica on an unreachable peer, a
 //	      5xx or a 404 (a replica may hold the copy the primary lost).
 //	      Route hits and misses and failovers are counted.
-//	/v1/diff with inline uploads
-//	    → split by row range across every shard when the image is tall
-//	      enough (each band ≥ SplitRows rows): the one call decoded
-//	      here, per-band ImageStats merged associatively. Anything
-//	      else, including an upload that does not decode, is forwarded
-//	      whole, round-robin.
-//	/v1/inspect, /v1/align, /v1/docclean, /v1/jobs with inline uploads
-//	    → forwarded round-robin (defect grouping crosses rows, so these
-//	      never split).
+//	/v1/diff, /v1/inspect, /v1/align, /v1/docclean, /v1/jobs with
+//	inline uploads
+//	    → forwarded whole, round-robin. A request runs on one shard;
+//	      requests are the parallelism, so no call is split.
 //	GET, DELETE /v1/jobs/{id}
 //	    → tried on each shard in ring order until one does not 404:
 //	      job ids are shard-local.
 //	POST /v1/references
-//	    → decoded once to compute the content id, then the raw body is
-//	      forwarded to every owner (quorum = all).
+//	    → decoded once to compute the content id (the coordinator's
+//	      only decode), then the raw body is forwarded to every owner
+//	      (quorum = all).
 //	GET /v1/references, GET /v1/jobs, DELETE /v1/references/{id},
 //	GET /readyz
 //	    → asked of every relevant shard and merged.
@@ -57,11 +53,9 @@ import (
 	"sort"
 	"sync"
 
-	"sysrle"
 	"sysrle/internal/apiclient"
 	"sysrle/internal/imageio"
 	"sysrle/internal/refstore"
-	"sysrle/internal/rle"
 )
 
 // multipartMemory is the in-memory threshold for the forms the
@@ -83,7 +77,7 @@ func (c *Coordinator) routes() http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		_ = c.reg.WriteJSON(w)
 	})
-	mux.HandleFunc("POST /v1/diff", c.handleDiff)
+	mux.HandleFunc("POST /v1/diff", c.handleForward)
 	mux.HandleFunc("POST /v1/inspect", c.handleForward)
 	mux.HandleFunc("POST /v1/align", c.handleForward)
 	mux.HandleFunc("POST /v1/docclean", c.handleForward)
@@ -121,16 +115,6 @@ func (c *Coordinator) readBody(w http.ResponseWriter, r *http.Request) ([]byte, 
 	}
 	r.Body = io.NopCloser(bytes.NewReader(body))
 	return body, true
-}
-
-// formImage decodes one file part of the buffered multipart body.
-func formImage(r *http.Request, field string) (*rle.Image, error) {
-	f, _, err := r.FormFile(field)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return imageio.Read(f)
 }
 
 // formValue scans the buffered multipart body for a plain form field,
@@ -183,7 +167,7 @@ func (c *Coordinator) forward(w http.ResponseWriter, r *http.Request, body []byt
 	relay(w, resp.StatusCode, resp.Header, resp.Body)
 }
 
-// handleForward serves inspect, align and docclean.
+// handleForward serves diff, inspect, align and docclean.
 func (c *Coordinator) handleForward(w http.ResponseWriter, r *http.Request) {
 	if body, ok := c.readBody(w, r); ok {
 		c.forward(w, r, body, r.URL.Query().Get("ref"))
@@ -225,133 +209,6 @@ func (c *Coordinator) handleJobByID(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	c.relayError(w, r, peer, err)
-}
-
-// splitRows divides height rows into at most bands contiguous
-// near-equal [lo, hi) ranges, each at least minRows tall (the last
-// band absorbs the remainder). One band means "do not scatter".
-func splitRows(height, bands, minRows int) [][2]int {
-	if bands < 1 {
-		bands = 1
-	}
-	if minRows > 0 && bands > 1 {
-		if fit := height / minRows; fit < bands {
-			bands = fit
-		}
-	}
-	if bands <= 1 || height <= 0 {
-		return [][2]int{{0, height}}
-	}
-	out := make([][2]int, 0, bands)
-	per := height / bands
-	lo := 0
-	for i := 0; i < bands; i++ {
-		hi := lo + per
-		if i == bands-1 {
-			hi = height
-		}
-		out = append(out, [2]int{lo, hi})
-		lo = hi
-	}
-	return out
-}
-
-// band returns the sub-image covering rows [lo, hi). Rows are shared
-// slices, so a band is a header-only view — no pixel copying.
-func band(img *rle.Image, lo, hi int) *rle.Image {
-	return &rle.Image{Width: img.Width, Height: hi - lo, Rows: img.Rows[lo:hi]}
-}
-
-func (c *Coordinator) handleDiff(w http.ResponseWriter, r *http.Request) {
-	body, ok := c.readBody(w, r)
-	if !ok {
-		return
-	}
-	if ref := r.URL.Query().Get("ref"); ref != "" {
-		c.forward(w, r, body, ref)
-		return
-	}
-	if a, b, bands := c.diffBands(r); len(bands) > 1 {
-		c.scatterDiff(w, r, a, b, bands)
-		return
-	}
-	c.forward(w, r, body, "")
-}
-
-// diffBands decodes an inline diff to learn its height and splits it
-// into one row band per shard. Whatever cannot be split — one shard, a
-// short image, a bad format, an upload that does not decode, a size
-// mismatch — comes back as no bands, and the caller forwards the
-// request whole so the answer or error is the shard's own.
-func (c *Coordinator) diffBands(r *http.Request) (a, b *rle.Image, bands [][2]int) {
-	peers := len(c.ring.Peers())
-	format := r.URL.Query().Get("format")
-	if c.cfg.SplitRows <= 0 || peers < 2 || (format != "" && !imageio.IsFormat(format)) {
-		return nil, nil, nil
-	}
-	if err := r.ParseMultipartForm(multipartMemory); err != nil {
-		return nil, nil, nil
-	}
-	defer r.MultipartForm.RemoveAll()
-	a, err := formImage(r, "a")
-	if err != nil {
-		return nil, nil, nil
-	}
-	if bands = splitRows(a.Height, peers, c.cfg.SplitRows); len(bands) < 2 {
-		return nil, nil, nil
-	}
-	b, err = formImage(r, "b")
-	if err != nil || a.Width != b.Width || a.Height != b.Height {
-		return nil, nil, nil
-	}
-	return a, b, bands
-}
-
-// scatterDiff sends band i to shard i, all in flight at once, gathers
-// rows in band order and folds the per-band stats with the associative
-// merge. Row difference is row-independent, so the stitched result is
-// byte-identical to a single-node diff.
-func (c *Coordinator) scatterDiff(w http.ResponseWriter, r *http.Request, a, b *rle.Image, bands [][2]int) {
-	c.scatterDiffs.Inc()
-	engine := r.URL.Query().Get("engine")
-	peers := c.ring.Peers()
-	type bandResult struct {
-		res  *apiclient.DiffResult
-		peer string
-		err  error
-	}
-	results := make([]bandResult, len(bands))
-	var wg sync.WaitGroup
-	for i, rng := range bands {
-		peer := peers[i%len(peers)]
-		cl := c.client(peer)
-		wg.Add(1)
-		go func(i int, lo, hi int) {
-			defer wg.Done()
-			res, err := cl.Diff(r.Context(), apiclient.DiffRequest{
-				A: band(a, lo, hi), B: band(b, lo, hi), Engine: engine,
-			})
-			results[i] = bandResult{res, peer, err}
-		}(i, rng[0], rng[1])
-	}
-	wg.Wait()
-	stitched := &rle.Image{Width: a.Width, Height: a.Height, Rows: make([]rle.Row, 0, a.Height)}
-	var stats sysrle.ImageStats
-	engineName := ""
-	for _, br := range results {
-		if br.err != nil {
-			c.relayError(w, r, br.peer, br.err)
-			return
-		}
-		stitched.Rows = append(stitched.Rows, br.res.Image.Rows...)
-		stats = sysrle.MergeImageStats(stats, br.res.Stats)
-		engineName = br.res.Engine
-	}
-	format := r.URL.Query().Get("format")
-	if format == "" {
-		format = "pbm"
-	}
-	apiclient.WriteDiff(w, format, stitched, stats, engineName)
 }
 
 // handleRefPut places a reference by content id: the upload is decoded
@@ -415,7 +272,12 @@ func uploadID(r *http.Request) (string, error) {
 		return "", err
 	}
 	defer r.MultipartForm.RemoveAll()
-	img, err := formImage(r, "image")
+	f, _, err := r.FormFile("image")
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	img, err := imageio.Read(f)
 	if err != nil {
 		return "", err
 	}

@@ -645,11 +645,16 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	}
 	s.recordEngine(engine.Name(), stats.TotalIterations, stats.RowsDiffering)
 	if diff != nil {
-		apiclient.WriteDiff(w, format, diff, *stats, engine.Name())
-		return
+		pixels = diff.Area()
 	}
 	apiclient.SetDiffHeaders(w.Header(), format, *stats, engine.Name(), pixels)
-	_, _ = w.Write(body)
+	if diff == nil {
+		_, _ = w.Write(body)
+		return
+	}
+	// With a valid format a write error can only be a broken
+	// connection; nothing useful remains to send.
+	_ = imageio.Write(w, format, diff)
 }
 
 // inspectResponse is the JSON shape of /v1/inspect.

@@ -158,27 +158,6 @@ type ImageStats struct {
 	FaultsRecovered int
 }
 
-// MergeImageStats combines the stats of two diffs over disjoint row
-// ranges of one image into the stats of the combined range — the
-// scatter-gather merge a sharding coordinator uses when it fans one
-// huge image out to remote workers by row range (the distributed form
-// of the paper's one-array-per-scanline deployment). Sums stay sums
-// and maxima stay maxima, so the merge is associative and commutative
-// with the zero ImageStats as identity: any split of an image into
-// bands, merged in any order and grouping, reproduces the single-node
-// DiffImage stats exactly.
-func MergeImageStats(a, b ImageStats) ImageStats {
-	m := ImageStats{
-		TotalIterations: a.TotalIterations + b.TotalIterations,
-		RowsDiffering:   a.RowsDiffering + b.RowsDiffering,
-		TotalCells:      a.TotalCells + b.TotalCells,
-		FaultsRecovered: a.FaultsRecovered + b.FaultsRecovered,
-	}
-	m.MaxRowIterations = max(a.MaxRowIterations, b.MaxRowIterations)
-	m.MaxRowCells = max(a.MaxRowCells, b.MaxRowCells)
-	return m
-}
-
 // Similarity measures re-exported for workload characterization.
 
 // RunCountDiff returns |k1−k2|, the run-count difference the systolic
