@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race ci chaos chaos-disk oracle perfbench-smoke cover bench bench-json calibrate perf-smoke experiments fuzz cluster-smoke clean
+.PHONY: all build test vet race ci chaos chaos-disk oracle perfbench-smoke cover bench bench-json calibrate perf-smoke experiments fuzz cluster-smoke loc clean
 
 all: build vet test
 
@@ -120,6 +120,11 @@ fuzz:
 	$(GO) test -fuzz FuzzReadPBM -fuzztime 10s ./internal/bitmap/
 	$(GO) test -fuzz FuzzUnionOfTranslates -fuzztime 10s ./internal/runmorph/
 	$(GO) test -fuzz FuzzErodeIntersection -fuzztime 10s ./internal/runmorph/
+
+# Non-test, non-blank, non-comment Go lines outside perfbench/: the
+# size the ROADMAP asks each simplicity change to shrink.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' -print0 | xargs -0 cat | grep -v '^\s*//' | grep -cv '^\s*$$'
 
 clean:
 	$(GO) clean ./...

@@ -81,54 +81,39 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("unknown -gen %q (have a4)", *gen)
 	}
 
-	if *server != "" {
-		c, err := apiclient.New(*server, apiclient.Options{})
-		if err != nil {
-			return err
-		}
-		rep, err := c.DocClean(context.Background(), apiclient.DocCleanRequest{
-			Image:          img,
-			MaxSpeckleArea: *maxSpeckle,
-			MinLineLen:     *minLine,
-			CloseGapX:      *closeX,
-			CloseGapY:      *closeY,
-			MinBlockArea:   *minBlock,
-			KeepLines:      *keepLines,
-		})
-		if err != nil {
-			return err
-		}
-		if rep.Blocks == nil {
-			rep.Blocks = []apiclient.DocCleanBlock{}
-		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(rep)
-	}
-
-	res, err := docclean.Clean(context.Background(), img, docclean.Config{
+	cfg := docclean.Config{
 		MaxSpeckleArea: *maxSpeckle,
 		MinLineLen:     *minLine,
 		CloseGapX:      *closeX,
 		CloseGapY:      *closeY,
 		MinBlockArea:   *minBlock,
 		KeepLines:      *keepLines,
-	})
-	if err != nil {
-		return err
 	}
-
-	if *output != "" {
-		f, err := os.Create(*output)
+	var res *docclean.Result
+	if *server != "" {
+		c, err := apiclient.New(*server, apiclient.Options{})
 		if err != nil {
 			return err
 		}
-		if err := imageio.Write(f, *format, res.Cleaned); err != nil {
-			f.Close()
+		if res, err = c.DocClean(context.Background(), apiclient.DocCleanRequest{Image: img, Config: cfg}); err != nil {
 			return err
 		}
-		if err := f.Close(); err != nil {
+	} else {
+		if res, err = docclean.Clean(context.Background(), img, cfg); err != nil {
 			return err
+		}
+		if *output != "" {
+			f, err := os.Create(*output)
+			if err != nil {
+				return err
+			}
+			if err := imageio.Write(f, *format, res.Cleaned); err != nil {
+				f.Close()
+				return err
+			}
+			if err := f.Close(); err != nil {
+				return err
+			}
 		}
 	}
 

@@ -75,7 +75,7 @@
 //	curl -F image=@golden.pbm localhost:8422/v1/references          # → {"id": ...}
 //	curl -F b=@scan.pbm "localhost:8422/v1/diff?ref=<id>"           # no re-upload of the golden board
 //	curl -F scan=@s1.pbm -F scan=@s2.pbm "localhost:8422/v1/jobs?ref=<id>"
-//	curl localhost:8422/v1/jobs/job-000001                          # poll progress
+//	curl localhost:8422/v1/jobs/job-000001-3f9a02c1                 # poll progress (id from the 202)
 //
 //	curl -F a=@ref.pbm -F b=@scan.pbm 'localhost:8422/v1/diff?format=png' -o diff.png
 //	curl -F ref=@ref.pbm -F scan=@scan.pbm 'localhost:8422/v1/inspect?min-area=2'

@@ -1,15 +1,20 @@
 // Package apiclient is the typed Go client for the sysdiffd v1 HTTP
-// API. Every caller that used to hand-roll multipart bodies and
-// ad-hoc JSON decoding against /v1 — the CLIs, the e2e tests, and
-// above all the cluster coordinator — goes through this package
-// instead, so request shaping, error decoding, deadlines, retries and
-// hedging live in exactly one place.
+// API and the one definition of its wire contract. Every caller that
+// used to hand-roll multipart bodies and ad-hoc JSON decoding against
+// /v1 — the CLIs, the e2e tests, and above all the cluster
+// coordinator — goes through this package instead, so request
+// shaping, error decoding, deadlines, retries and hedging live in
+// exactly one place. The shard and the coordinator answer through it
+// too: WriteJSON for every JSON body, WriteError for the error
+// envelope and its status → code table, SetDiffHeaders for the
+// X-Sysrle-* headers and RequestIDHandler for the request-id rule.
 //
 // The client is deliberately thin on policy and explicit about it:
 //
 //   - Typed requests and responses. Images travel as canonical RLEB
-//     multipart parts; responses decode into the same JSON shapes the
-//     server documents, and engine statistics come back parsed from
+//     multipart parts; responses decode into the Go types the shard
+//     encodes (refstore.Meta, jobs.Status, docclean.Result and the
+//     types in v1.go), and engine statistics come back parsed from
 //     the X-Sysrle-* headers.
 //   - Unified errors. Every non-2xx response decodes into *Error with
 //     the server's error envelope — {"error": {"code", "message",
@@ -41,6 +46,8 @@ package apiclient
 import (
 	"bytes"
 	"context"
+	crand "crypto/rand"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"math/rand"
@@ -49,6 +56,7 @@ import (
 	"net/url"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sysrle/internal/imageio"
@@ -57,15 +65,18 @@ import (
 
 // Defaults for Options zero values.
 const (
-	DefaultTimeout     = 30 * time.Second
-	DefaultRetries     = 2
-	DefaultBackoff     = 50 * time.Millisecond
-	DefaultBackoffCap  = 2 * time.Second
-	maxErrorBodyBytes  = 1 << 20
-	maxDrainBodyBytes  = 1 << 18
-	defaultUserAgent   = "sysrle-apiclient/1"
-	requestIDHeaderKey = "X-Request-Id"
+	DefaultTimeout    = 30 * time.Second
+	DefaultRetries    = 2
+	DefaultBackoff    = 50 * time.Millisecond
+	DefaultBackoffCap = 2 * time.Second
+	maxErrorBodyBytes = 1 << 20
+	maxDrainBodyBytes = 1 << 18
+	defaultUserAgent  = "sysrle-apiclient/1"
 )
+
+// RequestIDHeader is the request and response header carrying the
+// request id.
+const RequestIDHeader = "X-Request-Id"
 
 // Options tunes a Client; the zero value gets production defaults.
 type Options struct {
@@ -173,6 +184,47 @@ type requestIDKey struct{}
 // WithRequestID returns a context whose calls send id as X-Request-Id.
 func WithRequestID(ctx context.Context, id string) context.Context {
 	return context.WithValue(ctx, requestIDKey{}, id)
+}
+
+// ridPrefix makes minted request ids unique across process restarts.
+var ridPrefix = func() string {
+	var b [4]byte
+	if _, err := crand.Read(b[:]); err != nil {
+		return "00000000"
+	}
+	return hex.EncodeToString(b[:])
+}()
+
+var ridCounter atomic.Uint64
+
+// RequestIDHandler gives every request an id: an inbound X-Request-Id
+// of 1–64 printable ASCII characters is kept (proxies assign ids
+// upstream), anything else is replaced by a fresh
+// "<random prefix>-<counter>". The id is set on the request and the
+// response headers and carried by the request context, so the calls a
+// proxy makes for the request send it on (WithRequestID).
+func RequestIDHandler(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		id := r.Header.Get(RequestIDHeader)
+		if id == "" || len(id) > 64 || !printableASCII(id) {
+			id = fmt.Sprintf("%s-%06d", ridPrefix, ridCounter.Add(1))
+			r.Header.Set(RequestIDHeader, id)
+		}
+		w.Header().Set(RequestIDHeader, id)
+		next.ServeHTTP(w, r.WithContext(WithRequestID(r.Context(), id)))
+	})
+}
+
+// RequestID returns the id RequestIDHandler gave r.
+func RequestID(r *http.Request) string { return r.Header.Get(RequestIDHeader) }
+
+func printableASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] < 0x21 || s[i] > 0x7e {
+			return false
+		}
+	}
+	return true
 }
 
 // Forward sends an inbound request on to this client's server: the
@@ -416,7 +468,7 @@ func (c *Client) issue(ctx context.Context, req request) (*http.Response, error)
 	}
 	hr.Header.Set("User-Agent", c.opts.UserAgent)
 	if id, _ := ctx.Value(requestIDKey{}).(string); id != "" {
-		hr.Header.Set(requestIDHeaderKey, id)
+		hr.Header.Set(RequestIDHeader, id)
 	}
 	start := time.Now()
 	resp, err := c.hc.Do(hr)
@@ -444,61 +496,30 @@ func drainClose(rc io.ReadCloser) {
 	_ = rc.Close()
 }
 
-// imagePart returns a multipart body factory with the given images
-// encoded as canonical RLEB parts plus any literal form values. The
-// encode happens once; retries and hedges reuse the bytes.
-func imagePart(images map[string]*rle.Image, values map[string]string) (func() (io.Reader, string, error), error) {
+// imageParts returns a multipart body factory with the single images
+// under their field names and the repeated images all under field,
+// encoded as canonical RLEB parts. The encode happens once; retries
+// and hedges reuse the bytes.
+func imageParts(single map[string]*rle.Image, field string, repeated []*rle.Image) (func() (io.Reader, string, error), error) {
 	var buf bytes.Buffer
 	mw := multipart.NewWriter(&buf)
-	for field, img := range images {
-		fw, err := mw.CreateFormFile(field, field+".rleb")
+	write := func(name, file string, img *rle.Image) error {
+		fw, err := mw.CreateFormFile(name, file)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := imageio.Write(fw, "rleb", img); err != nil {
-			return nil, fmt.Errorf("apiclient: encoding %q: %w", field, err)
+			return fmt.Errorf("apiclient: encoding %s: %w", file, err)
 		}
+		return nil
 	}
-	for field, v := range values {
-		if err := mw.WriteField(field, v); err != nil {
+	for name, img := range single {
+		if err := write(name, name+".rleb", img); err != nil {
 			return nil, err
 		}
 	}
-	if err := mw.Close(); err != nil {
-		return nil, err
-	}
-	ctype := mw.FormDataContentType()
-	raw := buf.Bytes()
-	return func() (io.Reader, string, error) {
-		return bytes.NewReader(raw), ctype, nil
-	}, nil
-}
-
-// multiImagePart is imagePart for repeated fields (N scans under one
-// name).
-func multiImagePart(field string, scans []*rle.Image, single map[string]*rle.Image, values map[string]string) (func() (io.Reader, string, error), error) {
-	var buf bytes.Buffer
-	mw := multipart.NewWriter(&buf)
-	for f, img := range single {
-		fw, err := mw.CreateFormFile(f, f+".rleb")
-		if err != nil {
-			return nil, err
-		}
-		if err := imageio.Write(fw, "rleb", img); err != nil {
-			return nil, fmt.Errorf("apiclient: encoding %q: %w", f, err)
-		}
-	}
-	for i, img := range scans {
-		fw, err := mw.CreateFormFile(field, fmt.Sprintf("%s-%d.rleb", field, i))
-		if err != nil {
-			return nil, err
-		}
-		if err := imageio.Write(fw, "rleb", img); err != nil {
-			return nil, fmt.Errorf("apiclient: encoding %s %d: %w", field, i, err)
-		}
-	}
-	for f, v := range values {
-		if err := mw.WriteField(f, v); err != nil {
+	for i, img := range repeated {
+		if err := write(field, fmt.Sprintf("%s-%d.rleb", field, i), img); err != nil {
 			return nil, err
 		}
 	}

@@ -56,21 +56,6 @@ func TestErrorEnvelopeDecoding(t *testing.T) {
 	}
 }
 
-func TestErrorLegacyStringForm(t *testing.T) {
-	c := testClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		w.Write([]byte(`{"error":"request timed out"}`))
-	}), Options{Retries: -1})
-	err := c.Health(context.Background())
-	var ae *Error
-	if !errors.As(err, &ae) {
-		t.Fatalf("err = %v", err)
-	}
-	if ae.Message != "request timed out" || ae.Code != CodeUnavailable {
-		t.Fatalf("legacy decode = %+v", ae)
-	}
-}
-
 func TestErrorTextFallback(t *testing.T) {
 	c := testClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "plain text failure", http.StatusBadRequest)
@@ -256,4 +241,3 @@ func TestReadyAccepts503(t *testing.T) {
 		t.Fatalf("ready status = %+v", st)
 	}
 }
-

@@ -9,8 +9,8 @@ import (
 	"strings"
 )
 
-// Error codes of the v1 error envelope, mirrored from the server's
-// status mapping. Compare with Error.Code rather than matching
+// Error codes of the v1 error envelope, one per status (see
+// codeForStatus). Compare with Error.Code rather than matching
 // message text.
 const (
 	CodeInvalidArgument   = "invalid_argument"
@@ -86,39 +86,41 @@ func statusIs(err error, status int) bool {
 	return errors.As(err, &ae) && ae.Status == status
 }
 
-// envelope is the wire shape of an error response. The error member
-// is normally the object form; the string form is kept decodable for
-// the static timeout body and older peers.
-type envelope struct {
-	Error json.RawMessage `json:"error"`
+// errorEnvelope is the wire shape of every /v1 error answer:
+// {"error": {"code", "message", "request_id"}}, with the HTTP status
+// telling the class and Code naming it for machines.
+type errorEnvelope struct {
+	Error errorBody `json:"error"`
 }
 
-type envelopeBody struct {
+type errorBody struct {
 	Code      string `json:"code"`
 	Message   string `json:"message"`
-	RequestID string `json:"request_id"`
+	RequestID string `json:"request_id,omitempty"`
+}
+
+// WriteError answers with the v1 error envelope: status, its code
+// from the one status → code table, msg and the request id. Shard and
+// coordinator write every error through it.
+func WriteError(w http.ResponseWriter, status int, msg, requestID string) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(errorEnvelope{errorBody{codeForStatus(status), msg, requestID}})
 }
 
 // decodeError turns a non-2xx response into a *Error, consuming and
-// closing the body.
+// closing the body. A body that is not the envelope becomes the
+// message, and the code falls back to the status's.
 func decodeError(resp *http.Response) *Error {
 	raw, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBodyBytes))
 	drainClose(resp.Body)
-	e := &Error{Status: resp.StatusCode, RequestID: resp.Header.Get(requestIDHeaderKey),
+	e := &Error{Status: resp.StatusCode, RequestID: resp.Header.Get(RequestIDHeader),
 		Header: resp.Header, Body: raw}
-	var env envelope
-	if err := json.Unmarshal(raw, &env); err == nil && len(env.Error) > 0 {
-		var body envelopeBody
-		var msg string
-		switch {
-		case json.Unmarshal(env.Error, &body) == nil && (body.Code != "" || body.Message != ""):
-			e.Code = body.Code
-			e.Message = body.Message
-			if body.RequestID != "" {
-				e.RequestID = body.RequestID
-			}
-		case json.Unmarshal(env.Error, &msg) == nil:
-			e.Message = msg
+	var env errorEnvelope
+	if json.Unmarshal(raw, &env) == nil {
+		e.Code, e.Message = env.Error.Code, env.Error.Message
+		if env.Error.RequestID != "" {
+			e.RequestID = env.Error.RequestID
 		}
 	}
 	if e.Message == "" {
@@ -133,8 +135,7 @@ func decodeError(resp *http.Response) *Error {
 	return e
 }
 
-// codeForStatus is the fallback status → code mapping, identical to
-// the server's.
+// codeForStatus maps an HTTP status onto its envelope code.
 func codeForStatus(status int) string {
 	switch status {
 	case http.StatusBadRequest:

@@ -1,9 +1,12 @@
 package apiclient
 
-// The typed v1 calls. Each method shapes one endpoint's request,
-// decodes its documented response, and classifies the call for the
-// retry/hedge machinery: reads and the pure compute endpoints are
-// idempotent, mutations are not.
+// The typed v1 calls and the v1 wire contract. Each method shapes one
+// endpoint's request, decodes its response, and classifies the call
+// for the retry/hedge machinery: reads and the pure compute endpoints
+// are idempotent, mutations are not. Every JSON body is one Go type,
+// encoded by the shard, merged by the coordinator and decoded here:
+// refstore.Meta, jobs.Status and docclean.Result from the packages
+// that own them, the rest defined below.
 
 import (
 	"context"
@@ -16,9 +19,24 @@ import (
 	"time"
 
 	"sysrle"
+	"sysrle/internal/auditlog"
+	"sysrle/internal/docclean"
 	"sysrle/internal/imageio"
+	"sysrle/internal/inspect"
+	"sysrle/internal/jobs"
+	"sysrle/internal/refstore"
 	"sysrle/internal/rle"
 )
+
+// WriteJSON answers with v as an indented JSON body. Shard and
+// coordinator write every JSON answer through it.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
+}
 
 // DiffRequest shapes POST /v1/diff. Exactly one of A and RefID must
 // be set; B is always required.
@@ -54,12 +72,8 @@ func (c *Client) Diff(ctx context.Context, req DiffRequest) (*DiffResult, error)
 	q := url.Values{"format": {"rleb"}}
 	setIfNonZero(q, "engine", req.Engine)
 	images := map[string]*rle.Image{"b": req.B}
-	if req.RefID != "" {
-		q.Set("ref", req.RefID)
-	} else {
-		images["a"] = req.A
-	}
-	body, err := imagePart(images, nil)
+	refOrUpload(q, images, "a", req.RefID, req.A)
+	body, err := imageParts(images, "", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -108,30 +122,20 @@ func SetDiffHeaders(h http.Header, format string, stats sysrle.ImageStats, engin
 	h.Set("X-Sysrle-Diff-Pixels", strconv.Itoa(diffPixels))
 }
 
-// Defect mirrors the server's defect report entries (inspect.Defect's
-// JSON rendering). Shape stays raw: clients that care about moment
-// descriptors decode it themselves.
-type Defect struct {
-	Kind           string
-	Type           string
-	X0, Y0, X1, Y1 int
-	Area           int
-	Shape          json.RawMessage
-}
-
 // InspectReport is the JSON body of POST /v1/inspect.
 type InspectReport struct {
-	Engine           string   `json:"engine"`
-	RowsCompared     int      `json:"rows_compared"`
-	RowsDiffering    int      `json:"rows_differing"`
-	DiffPixels       int      `json:"diff_pixels"`
-	DiffRuns         int      `json:"diff_runs"`
-	TotalIterations  int      `json:"iterations_total"`
-	MaxRowIterations int      `json:"iterations_max_row"`
-	Clean            bool     `json:"clean"`
-	AlignDX          int      `json:"align_dx"`
-	AlignDY          int      `json:"align_dy"`
-	Defects          []Defect `json:"defects"`
+	Engine           string `json:"engine"`
+	RowsCompared     int    `json:"rows_compared"`
+	RowsDiffering    int    `json:"rows_differing"`
+	DiffPixels       int    `json:"diff_pixels"`
+	DiffRuns         int    `json:"diff_runs"`
+	TotalIterations  int    `json:"iterations_total"`
+	MaxRowIterations int    `json:"iterations_max_row"`
+	Clean            bool   `json:"clean"`
+	AlignDX          int    `json:"align_dx"`
+	AlignDY          int    `json:"align_dy"`
+	// Defects is never null on the wire: a clean scan has [].
+	Defects []inspect.Defect `json:"defects"`
 }
 
 // InspectRequest shapes POST /v1/inspect. Exactly one of Ref and
@@ -148,20 +152,10 @@ type InspectRequest struct {
 // Inspect runs the full reference-vs-scan defect inspection.
 func (c *Client) Inspect(ctx context.Context, req InspectRequest) (*InspectReport, error) {
 	q := url.Values{}
-	setIfNonZero(q, "engine", req.Engine)
-	if req.MinDefectArea > 0 {
-		q.Set("min-area", strconv.Itoa(req.MinDefectArea))
-	}
-	if req.MaxAlignShift > 0 {
-		q.Set("align", strconv.Itoa(req.MaxAlignShift))
-	}
+	setInspectQuery(q, req.Engine, req.MinDefectArea, req.MaxAlignShift)
 	images := map[string]*rle.Image{"scan": req.Scan}
-	if req.RefID != "" {
-		q.Set("ref", req.RefID)
-	} else {
-		images["ref"] = req.Ref
-	}
-	body, err := imagePart(images, nil)
+	refOrUpload(q, images, "ref", req.RefID, req.Ref)
+	body, err := imageParts(images, "", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -194,16 +188,10 @@ type AlignRequest struct {
 // Align estimates the registration offset between two images.
 func (c *Client) Align(ctx context.Context, req AlignRequest) (*AlignResult, error) {
 	q := url.Values{}
-	if req.MaxShift > 0 {
-		q.Set("max-shift", strconv.Itoa(req.MaxShift))
-	}
+	setPositive(q, "max-shift", req.MaxShift)
 	images := map[string]*rle.Image{"scan": req.Scan}
-	if req.RefID != "" {
-		q.Set("ref", req.RefID)
-	} else {
-		images["ref"] = req.Ref
-	}
-	body, err := imagePart(images, nil)
+	refOrUpload(q, images, "ref", req.RefID, req.Ref)
+	body, err := imageParts(images, "", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -218,62 +206,22 @@ func (c *Client) Align(ctx context.Context, req AlignRequest) (*AlignResult, err
 }
 
 // DocCleanRequest shapes POST /v1/docclean (JSON-report mode). Zero
-// tuning fields default from the page size on the server.
+// Config fields default from the page size on the server.
 type DocCleanRequest struct {
-	Image          *rle.Image
-	MaxSpeckleArea int
-	MinLineLen     int
-	CloseGapX      int
-	CloseGapY      int
-	MinBlockArea   int
-	KeepLines      bool
-}
-
-// DocCleanBlock is one segmented text block.
-type DocCleanBlock struct {
-	X0   int `json:"x0"`
-	Y0   int `json:"y0"`
-	X1   int `json:"x1"`
-	Y1   int `json:"y1"`
-	Area int `json:"area"`
-}
-
-// DocCleanReport is the JSON body of POST /v1/docclean.
-type DocCleanReport struct {
-	SpecklesRemoved int             `json:"speckles_removed"`
-	LinesH          int             `json:"lines_h"`
-	LinesV          int             `json:"lines_v"`
-	Blocks          []DocCleanBlock `json:"blocks"`
-	InputArea       int             `json:"input_area"`
-	OutputArea      int             `json:"output_area"`
+	Image  *rle.Image
+	Config docclean.Config
 }
 
 // DocClean runs the document-cleanup pipeline on one page and returns
-// the JSON report.
-func (c *Client) DocClean(ctx context.Context, req DocCleanRequest) (*DocCleanReport, error) {
+// the JSON report (Result.Cleaned stays nil).
+func (c *Client) DocClean(ctx context.Context, req DocCleanRequest) (*docclean.Result, error) {
 	q := url.Values{}
-	for _, p := range []struct {
-		name string
-		v    int
-	}{
-		{"max-speckle", req.MaxSpeckleArea},
-		{"min-line", req.MinLineLen},
-		{"close-x", req.CloseGapX},
-		{"close-y", req.CloseGapY},
-		{"min-block", req.MinBlockArea},
-	} {
-		if p.v > 0 {
-			q.Set(p.name, strconv.Itoa(p.v))
-		}
-	}
-	if req.KeepLines {
-		q.Set("keep-lines", "1")
-	}
-	body, err := imagePart(map[string]*rle.Image{"image": req.Image}, nil)
+	setDocCleanQuery(q, req.Config)
+	body, err := imageParts(map[string]*rle.Image{"image": req.Image}, "", nil)
 	if err != nil {
 		return nil, err
 	}
-	var rep DocCleanReport
+	var rep docclean.Result
 	if err := c.doJSON(ctx, request{
 		method: http.MethodPost, path: "/v1/docclean", route: "/v1/docclean",
 		query: q, body: body, idempotent: true,
@@ -283,28 +231,21 @@ func (c *Client) DocClean(ctx context.Context, req DocCleanRequest) (*DocCleanRe
 	return &rep, nil
 }
 
-// RefMeta mirrors the reference registry's metadata JSON.
-type RefMeta struct {
-	ID           string    `json:"id"`
-	Width        int       `json:"width"`
-	Height       int       `json:"height"`
-	Runs         int       `json:"runs"`
-	Area         int       `json:"area"`
-	EncodedBytes int       `json:"encoded_bytes"`
-	DecodedBytes int64     `json:"decoded_bytes"`
-	Created      time.Time `json:"created"`
+// ReferenceList is the JSON body of GET /v1/references.
+type ReferenceList struct {
+	References []refstore.Meta `json:"references"`
 }
 
 // PutReference registers an image in the content-addressed registry.
 // Registration is idempotent by content, so it is safe to retry — but
 // kept non-retrying here so one flaky POST never doubles the
 // write-through-disk cost silently; callers wanting retries loop.
-func (c *Client) PutReference(ctx context.Context, img *rle.Image) (*RefMeta, error) {
-	body, err := imagePart(map[string]*rle.Image{"image": img}, nil)
+func (c *Client) PutReference(ctx context.Context, img *rle.Image) (*refstore.Meta, error) {
+	body, err := imageParts(map[string]*rle.Image{"image": img}, "", nil)
 	if err != nil {
 		return nil, err
 	}
-	var meta RefMeta
+	var meta refstore.Meta
 	if err := c.doJSON(ctx, request{
 		method: http.MethodPost, path: "/v1/references", route: "/v1/references",
 		body: body, accept: []int{http.StatusCreated},
@@ -315,10 +256,8 @@ func (c *Client) PutReference(ctx context.Context, img *rle.Image) (*RefMeta, er
 }
 
 // ListReferences returns the registered references.
-func (c *Client) ListReferences(ctx context.Context) ([]RefMeta, error) {
-	var out struct {
-		References []RefMeta `json:"references"`
-	}
+func (c *Client) ListReferences(ctx context.Context) ([]refstore.Meta, error) {
+	var out ReferenceList
 	if err := c.doJSON(ctx, request{
 		method: http.MethodGet, path: "/v1/references", route: "/v1/references",
 		idempotent: true,
@@ -329,8 +268,8 @@ func (c *Client) ListReferences(ctx context.Context) ([]RefMeta, error) {
 }
 
 // GetReference returns one reference's metadata.
-func (c *Client) GetReference(ctx context.Context, id string) (*RefMeta, error) {
-	var meta RefMeta
+func (c *Client) GetReference(ctx context.Context, id string) (*refstore.Meta, error) {
+	var meta refstore.Meta
 	if err := c.doJSON(ctx, request{
 		method: http.MethodGet, path: "/v1/references/" + url.PathEscape(id),
 		route: "/v1/references/{id}", idempotent: true,
@@ -386,101 +325,37 @@ type JobRequest struct {
 	Engine        string
 	MinDefectArea int
 	MaxAlignShift int
-	// DocClean tunes docclean jobs (Image field ignored).
-	DocClean DocCleanRequest
+	// DocClean tunes docclean jobs.
+	DocClean docclean.Config
 }
 
-// JobScanResult is one scan's outcome inside a job snapshot.
-type JobScanResult struct {
-	Index           int    `json:"index"`
-	Clean           bool   `json:"clean"`
-	Defects         int    `json:"defects"`
-	DiffPixels      int    `json:"diff_pixels"`
-	DiffRuns        int    `json:"diff_runs"`
-	Iterations      int    `json:"iterations"`
-	Error           string `json:"error,omitempty"`
-	Attempts        int    `json:"attempts,omitempty"`
-	Quarantined     bool   `json:"quarantined,omitempty"`
-	AuditID         string `json:"audit_id,omitempty"`
-	SpecklesRemoved int    `json:"speckles_removed,omitempty"`
-	LinesH          int    `json:"lines_h,omitempty"`
-	LinesV          int    `json:"lines_v,omitempty"`
-	Blocks          int    `json:"blocks,omitempty"`
-	OutputArea      int    `json:"output_area,omitempty"`
-}
-
-// JobStatus is a job snapshot.
-type JobStatus struct {
-	ID         string          `json:"id"`
-	State      string          `json:"state"`
-	Type       string          `json:"type"`
-	RefID      string          `json:"ref_id,omitempty"`
-	Engine     string          `json:"engine,omitempty"`
-	ScansTotal int             `json:"scans_total"`
-	ScansDone  int             `json:"scans_done"`
-	Created    time.Time       `json:"created"`
-	Started    *time.Time      `json:"started,omitempty"`
-	Finished   *time.Time      `json:"finished,omitempty"`
-	Error      string          `json:"error,omitempty"`
-	Results    []JobScanResult `json:"results,omitempty"`
-}
-
-// Terminal reports whether the job has reached a final state.
-func (s *JobStatus) Terminal() bool {
-	switch s.State {
-	case "done", "failed", "canceled":
-		return true
-	}
-	return false
+// JobList is the JSON body of GET /v1/jobs.
+type JobList struct {
+	Jobs []jobs.Status `json:"jobs"`
 }
 
 // SubmitJob submits a batch job. Submission is not idempotent (each
 // acknowledged POST is a new job), so it never retries implicitly;
 // 429 means the queue could not take every scan and the caller
 // decides whether to back off and resubmit.
-func (c *Client) SubmitJob(ctx context.Context, req JobRequest) (*JobStatus, error) {
+func (c *Client) SubmitJob(ctx context.Context, req JobRequest) (*jobs.Status, error) {
 	q := url.Values{}
 	setIfNonZero(q, "type", req.Type)
 	single := map[string]*rle.Image{}
 	switch req.Type {
-	case "docclean":
-		d := req.DocClean
-		for _, p := range []struct {
-			name string
-			v    int
-		}{
-			{"max-speckle", d.MaxSpeckleArea},
-			{"min-line", d.MinLineLen},
-			{"close-x", d.CloseGapX},
-			{"close-y", d.CloseGapY},
-			{"min-block", d.MinBlockArea},
-		} {
-			if p.v > 0 {
-				q.Set(p.name, strconv.Itoa(p.v))
-			}
-		}
-		if d.KeepLines {
-			q.Set("keep-lines", "1")
-		}
+	case jobs.TypeDocClean:
+		setDocCleanQuery(q, req.DocClean)
 	default:
-		setIfNonZero(q, "engine", req.Engine)
-		if req.MinDefectArea > 0 {
-			q.Set("min-area", strconv.Itoa(req.MinDefectArea))
-		}
-		if req.MaxAlignShift > 0 {
-			q.Set("align", strconv.Itoa(req.MaxAlignShift))
-		}
-		if req.RefID != "" {
-			q.Set("ref", req.RefID)
-		} else if req.Ref != nil {
-			single["ref"] = req.Ref
+		setInspectQuery(q, req.Engine, req.MinDefectArea, req.MaxAlignShift)
+		if req.RefID != "" || req.Ref != nil {
+			refOrUpload(q, single, "ref", req.RefID, req.Ref)
 		}
 	}
-	body, err := multiImagePart("scan", req.Scans, single, nil)
+	body, err := imageParts(single, "scan", req.Scans)
 	if err != nil {
 		return nil, err
 	}
-	var st JobStatus
+	var st jobs.Status
 	if err := c.doJSON(ctx, request{
 		method: http.MethodPost, path: "/v1/jobs", route: "/v1/jobs",
 		query: q, body: body, accept: []int{http.StatusAccepted},
@@ -491,8 +366,8 @@ func (c *Client) SubmitJob(ctx context.Context, req JobRequest) (*JobStatus, err
 }
 
 // GetJob returns one job's snapshot.
-func (c *Client) GetJob(ctx context.Context, id string) (*JobStatus, error) {
-	var st JobStatus
+func (c *Client) GetJob(ctx context.Context, id string) (*jobs.Status, error) {
+	var st jobs.Status
 	if err := c.doJSON(ctx, request{
 		method: http.MethodGet, path: "/v1/jobs/" + url.PathEscape(id),
 		route: "/v1/jobs/{id}", idempotent: true,
@@ -503,10 +378,8 @@ func (c *Client) GetJob(ctx context.Context, id string) (*JobStatus, error) {
 }
 
 // ListJobs returns the retained job snapshots.
-func (c *Client) ListJobs(ctx context.Context) ([]JobStatus, error) {
-	var out struct {
-		Jobs []JobStatus `json:"jobs"`
-	}
+func (c *Client) ListJobs(ctx context.Context) ([]jobs.Status, error) {
+	var out JobList
 	if err := c.doJSON(ctx, request{
 		method: http.MethodGet, path: "/v1/jobs", route: "/v1/jobs",
 		idempotent: true,
@@ -531,7 +404,7 @@ func (c *Client) DeleteJob(ctx context.Context, id string) error {
 
 // WaitJob polls GET /v1/jobs/{id} at the given interval until the job
 // reaches a terminal state or ctx expires.
-func (c *Client) WaitJob(ctx context.Context, id string, poll time.Duration) (*JobStatus, error) {
+func (c *Client) WaitJob(ctx context.Context, id string, poll time.Duration) (*jobs.Status, error) {
 	if poll <= 0 {
 		poll = 50 * time.Millisecond
 	}
@@ -540,7 +413,7 @@ func (c *Client) WaitJob(ctx context.Context, id string, poll time.Duration) (*J
 		if err != nil {
 			return nil, err
 		}
-		if st.Terminal() {
+		if st.State.Terminal() {
 			return st, nil
 		}
 		select {
@@ -553,9 +426,9 @@ func (c *Client) WaitJob(ctx context.Context, id string, poll time.Duration) (*J
 
 // AuditSummary is the JSON body of GET /v1/audit.
 type AuditSummary struct {
-	ChainHead string          `json:"chain_head"`
-	Pending   int             `json:"pending"`
-	Batches   json.RawMessage `json:"batches"`
+	ChainHead string               `json:"chain_head"`
+	Pending   int                  `json:"pending"`
+	Batches   []auditlog.BatchInfo `json:"batches"`
 }
 
 // Audit returns the audit-log summary (404 on a memory-only server).
@@ -600,18 +473,13 @@ type ReadyStatus struct {
 // calls a 503 is not an error here — it is the documented "not ready"
 // answer, returned with Ready == false.
 func (c *Client) Ready(ctx context.Context) (*ReadyStatus, error) {
-	resp, err := c.do(ctx, request{
+	var st ReadyStatus
+	if err := c.doJSON(ctx, request{
 		method: http.MethodGet, path: "/readyz", route: "/readyz",
 		idempotent: true,
 		accept:     []int{http.StatusOK, http.StatusServiceUnavailable},
-	})
-	if err != nil {
+	}, &st); err != nil {
 		return nil, err
-	}
-	defer drainClose(resp.Body)
-	var st ReadyStatus
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxErrorBodyBytes)).Decode(&st); err != nil {
-		return nil, fmt.Errorf("apiclient: readyz response: %w", err)
 	}
 	return &st, nil
 }
@@ -663,5 +531,42 @@ func headerInt(resp *http.Response, name string) int {
 func setIfNonZero(q url.Values, key, val string) {
 	if val != "" {
 		q.Set(key, val)
+	}
+}
+
+func setPositive(q url.Values, key string, v int) {
+	if v > 0 {
+		q.Set(key, strconv.Itoa(v))
+	}
+}
+
+// setInspectQuery shapes the inspect parameters shared by /v1/inspect
+// and inspect jobs.
+func setInspectQuery(q url.Values, engine string, minDefectArea, maxAlignShift int) {
+	setIfNonZero(q, "engine", engine)
+	setPositive(q, "min-area", minDefectArea)
+	setPositive(q, "align", maxAlignShift)
+}
+
+// setDocCleanQuery shapes the docclean parameters shared by
+// /v1/docclean and docclean jobs.
+func setDocCleanQuery(q url.Values, cfg docclean.Config) {
+	setPositive(q, "max-speckle", cfg.MaxSpeckleArea)
+	setPositive(q, "min-line", cfg.MinLineLen)
+	setPositive(q, "close-x", cfg.CloseGapX)
+	setPositive(q, "close-y", cfg.CloseGapY)
+	setPositive(q, "min-block", cfg.MinBlockArea)
+	if cfg.KeepLines {
+		q.Set("keep-lines", "1")
+	}
+}
+
+// refOrUpload names the registered reference refID in q, or, without
+// one, uploads img as the form file field.
+func refOrUpload(q url.Values, images map[string]*rle.Image, field, refID string, img *rle.Image) {
+	if refID != "" {
+		q.Set("ref", refID)
+	} else {
+		images[field] = img
 	}
 }

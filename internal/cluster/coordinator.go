@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -570,52 +569,26 @@ func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	c.handler.ServeHTTP(w, r)
 }
 
-// middleware is the coordinator's thin stack: panic recovery, request
-// id, access log. Shard calls carry their own deadlines, so there is
-// no separate coordinator timeout tier.
+// middleware is the coordinator's thin stack: request id (the
+// shard's rule; every shard call made for the request carries the
+// id), panic recovery, access log. Shard calls carry their own
+// deadlines, so there is no separate coordinator timeout tier.
 func (c *Coordinator) middleware(next http.Handler) http.Handler {
 	panics := c.reg.Counter("sysrle_cluster_http_panics_total")
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get("X-Request-Id")
-		if id == "" {
-			id = fmt.Sprintf("coord-%06d", c.rr.Add(1))
-			r.Header.Set("X-Request-Id", id)
-		}
-		w.Header().Set("X-Request-Id", id)
-		// Every shard call made for this request carries its id.
-		r = r.WithContext(apiclient.WithRequestID(r.Context(), id))
+	return apiclient.RequestIDHandler(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		id := apiclient.RequestID(r)
 		start := time.Now()
 		defer func() {
 			if v := recover(); v != nil {
 				panics.Inc()
 				c.log.Error("panic serving request", "path", r.URL.Path, "panic", fmt.Sprint(v))
-				writeError(w, http.StatusInternalServerError, "internal", "internal error", id)
+				apiclient.WriteError(w, http.StatusInternalServerError, "internal error", id)
 			}
 			c.log.Info("request", "method", r.Method, "path", r.URL.Path,
 				"duration", time.Since(start), "request_id", id)
 		}()
 		next.ServeHTTP(w, r)
-	})
-}
-
-// writeJSON renders one response body.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-// writeError renders the unified v1 error envelope.
-func writeError(w http.ResponseWriter, status int, code, msg, rid string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]any{
-		"error": map[string]string{
-			"code": code, "message": msg, "request_id": rid,
-		},
-	})
+	}))
 }
 
 // relayError answers with a shard-call failure: an API error is the
@@ -627,9 +600,9 @@ func (c *Coordinator) relayError(w http.ResponseWriter, r *http.Request, peer st
 		relay(w, ae.Status, ae.Header, bytes.NewReader(ae.Body))
 		return
 	}
-	rid := r.Header.Get("X-Request-Id")
+	rid := apiclient.RequestID(r)
 	c.log.Warn("peer unreachable", "peer", peerLabel(peer), "err", err, "request_id", rid)
-	writeError(w, http.StatusServiceUnavailable, "unavailable",
+	apiclient.WriteError(w, http.StatusServiceUnavailable,
 		fmt.Sprintf("shard %s unavailable", peerLabel(peer)), rid)
 }
 

@@ -9,6 +9,7 @@ import (
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -527,5 +528,117 @@ func TestCoordinatorRelayedErrorCarriesRequestID(t *testing.T) {
 	if code, rid, _ := envelope(got.body); got.status != http.StatusNotFound || code != "not_found" || rid != "r1" {
 		t.Fatalf("GET /v1/jobs/nope: status %d code %q request_id %q, want 404 not_found r1; body %s",
 			got.status, code, rid, got.body)
+	}
+}
+
+// TestCoordinatorJobIDsUniqueAcrossShards submits one job straight to
+// each of two shards: both number their first job 1, yet the ids
+// differ, so the coordinator's GET and DELETE reach the right job.
+func TestCoordinatorJobIDsUniqueAcrossShards(t *testing.T) {
+	shards := startShards(t, 2)
+	_, coordURL := startCoordinator(t, Config{Peers: shards, Seed: 1})
+	coord := apiclient.MustNew(coordURL, apiclient.Options{Seed: 1})
+	ctx := context.Background()
+
+	ref := genImage(t, 42, 96, 64)
+	ids := make([]string, len(shards))
+	for i, shard := range shards {
+		scans := make([]*rle.Image, i+1) // scans_total tells the jobs apart
+		for k := range scans {
+			scans[k] = genImage(t, int64(43+k), 96, 64)
+		}
+		st, err := apiclient.MustNew(shard, apiclient.Options{Seed: 1}).
+			SubmitJob(ctx, apiclient.JobRequest{Ref: ref, Scans: scans})
+		if err != nil {
+			t.Fatalf("SubmitJob on shard %d: %v", i, err)
+		}
+		ids[i] = st.ID
+	}
+	if ids[0] == ids[1] {
+		t.Fatalf("both shards minted job id %q", ids[0])
+	}
+	for i, id := range ids {
+		st, err := coord.GetJob(ctx, id)
+		if err != nil {
+			t.Fatalf("GetJob(%s): %v", id, err)
+		}
+		if st.ID != id || st.ScansTotal != i+1 {
+			t.Fatalf("GetJob(%s) = job %s with %d scans, want %d", id, st.ID, st.ScansTotal, i+1)
+		}
+	}
+	if err := coord.DeleteJob(ctx, ids[0]); err != nil {
+		t.Fatalf("DeleteJob: %v", err)
+	}
+	if _, err := coord.GetJob(ctx, ids[0]); !apiclient.IsNotFound(err) {
+		t.Fatalf("deleted job get error = %v, want 404", err)
+	}
+	if st, err := coord.GetJob(ctx, ids[1]); err != nil || st.ScansTotal != 2 {
+		t.Fatalf("surviving job = %+v, %v", st, err)
+	}
+}
+
+// TestCoordinatorRoundRobinInlineDiffs sends inline diffs without an
+// X-Request-Id: minting the request id must not move the round-robin
+// cursor, so two shards share six calls evenly.
+func TestCoordinatorRoundRobinInlineDiffs(t *testing.T) {
+	shards := startShards(t, 2)
+	c, coordURL := startCoordinator(t, Config{Peers: shards, Seed: 1})
+	a := genImage(t, 1, 64, 32)
+	b := genImage(t, 2, 64, 32)
+	for i := 0; i < 6; i++ {
+		if status, _, body := postDiff(t, coordURL, a, b, "format=rleb"); status != http.StatusOK {
+			t.Fatalf("diff %d: status %d: %s", i, status, body)
+		}
+	}
+	for _, shard := range shards {
+		var n int64
+		for key, v := range c.reg.Snapshot()["sysrle_cluster_peer_requests_total"] {
+			if strings.Contains(key, `"`+peerLabel(shard)+`"`) {
+				n += v.(int64)
+			}
+		}
+		if n != 3 {
+			t.Errorf("shard %s got %d of 6 inline diffs, want 3", peerLabel(shard), n)
+		}
+	}
+}
+
+// TestCoordinatorListsMatchShard pins one list order: a 1-shard
+// coordinator's job and reference lists are the shard's, byte for
+// byte.
+func TestCoordinatorListsMatchShard(t *testing.T) {
+	shards := startShards(t, 1)
+	_, coordURL := startCoordinator(t, Config{Peers: shards, Seed: 1})
+	coord := apiclient.MustNew(coordURL, apiclient.Options{Seed: 1})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for i := 0; i < 3; i++ {
+		meta, err := coord.PutReference(ctx, genImage(t, int64(50+i), 96, 64))
+		if err != nil {
+			t.Fatalf("PutReference: %v", err)
+		}
+		st, err := coord.SubmitJob(ctx, apiclient.JobRequest{RefID: meta.ID,
+			Scans: []*rle.Image{genImage(t, int64(60+i), 96, 64)}})
+		if err != nil {
+			t.Fatalf("SubmitJob: %v", err)
+		}
+		if _, err := coord.WaitJob(ctx, st.ID, 5*time.Millisecond); err != nil {
+			t.Fatalf("WaitJob: %v", err)
+		}
+	}
+	get := func(url string) []byte {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return body
+	}
+	for _, path := range []string{"/v1/jobs", "/v1/references"} {
+		if got, want := get(coordURL+path), get(shards[0]+path); !bytes.Equal(got, want) {
+			t.Errorf("GET %s: coordinator body differs from the shard's:\n%s\nvs\n%s", path, got, want)
+		}
 	}
 }

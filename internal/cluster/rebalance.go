@@ -18,6 +18,7 @@ import (
 	"sort"
 
 	"sysrle/internal/apiclient"
+	"sysrle/internal/refstore"
 	"sysrle/internal/rle"
 )
 
@@ -70,7 +71,7 @@ func (c *Coordinator) rebalance(ctx context.Context) (moved, scanned int, err er
 	// it drained and move on rather than wedging the membership
 	// change. A ring member that cannot be listed still aborts; its
 	// span is live and skipping it could strand misplaced references.
-	listings := make(map[string][]apiclient.RefMeta, len(peers))
+	listings := make(map[string][]refstore.Meta, len(peers))
 	for _, peer := range peers {
 		refs, lerr := sources[peer].ListReferences(ctx)
 		if lerr != nil {

@@ -30,7 +30,8 @@ package cluster
 //	      requests are the parallelism, so no call is split.
 //	GET, DELETE /v1/jobs/{id}
 //	    → tried on each shard in ring order until one does not 404:
-//	      job ids are shard-local.
+//	      a job lives on the shard that took it, and ids are unique
+//	      across shards.
 //	POST /v1/references
 //	    → decoded once to compute the content id (the coordinator's
 //	      only decode), then the raw body is forwarded to every owner
@@ -50,11 +51,11 @@ import (
 	"mime"
 	"mime/multipart"
 	"net/http"
-	"sort"
 	"sync"
 
 	"sysrle/internal/apiclient"
 	"sysrle/internal/imageio"
+	"sysrle/internal/jobs"
 	"sysrle/internal/refstore"
 )
 
@@ -91,8 +92,8 @@ func (c *Coordinator) routes() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}", c.handleJobByID)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", c.handleJobByID)
 	mux.HandleFunc("GET /v1/audit", func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, http.StatusNotFound, "not_found",
-			"audit logs are per-shard; query the shards directly", r.Header.Get("X-Request-Id"))
+		apiclient.WriteError(w, http.StatusNotFound,
+			"audit logs are per-shard; query the shards directly", apiclient.RequestID(r))
 	})
 	mux.HandleFunc("GET /v1/cluster/ring", c.handleRing)
 	mux.HandleFunc("POST /v1/cluster/rebalance", c.handleRebalance)
@@ -105,12 +106,12 @@ func (c *Coordinator) routes() http.Handler {
 func (c *Coordinator) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.MaxUploadBytes))
 	if err != nil {
-		status, code := http.StatusBadRequest, "invalid_argument"
+		status := http.StatusBadRequest
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			status, code = http.StatusRequestEntityTooLarge, "payload_too_large"
+			status = http.StatusRequestEntityTooLarge
 		}
-		writeError(w, status, code, fmt.Sprintf("reading body: %v", err), r.Header.Get("X-Request-Id"))
+		apiclient.WriteError(w, status, fmt.Sprintf("reading body: %v", err), apiclient.RequestID(r))
 		return nil, false
 	}
 	r.Body = io.NopCloser(bytes.NewReader(body))
@@ -193,7 +194,8 @@ func (c *Coordinator) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleJobByID asks each shard in ring order until one knows the job:
-// job ids are shard-local, so exactly one shard should claim any id.
+// each shard mints ids with its own random suffix, so exactly one shard
+// claims any id.
 func (c *Coordinator) handleJobByID(w http.ResponseWriter, r *http.Request) {
 	var peer string
 	var err error
@@ -231,7 +233,7 @@ func (c *Coordinator) handleRefPut(w http.ResponseWriter, r *http.Request) {
 	}
 	owners := c.ownerRefs(id)
 	if len(owners) == 0 {
-		writeError(w, http.StatusServiceUnavailable, "unavailable", "no shards in the ring", r.Header.Get("X-Request-Id"))
+		apiclient.WriteError(w, http.StatusServiceUnavailable, "no shards in the ring", apiclient.RequestID(r))
 		return
 	}
 	type putResult struct {
@@ -286,7 +288,7 @@ func uploadID(r *http.Request) (string, error) {
 
 func (c *Coordinator) handleRefList(w http.ResponseWriter, r *http.Request) {
 	type peerRefs struct {
-		refs []apiclient.RefMeta
+		refs []refstore.Meta
 		peer string
 		err  error
 	}
@@ -305,7 +307,7 @@ func (c *Coordinator) handleRefList(w http.ResponseWriter, r *http.Request) {
 	wg.Wait()
 	// With replication every reference appears on R shards; dedupe by
 	// content id so clients see each reference once.
-	all := []apiclient.RefMeta{}
+	all := []refstore.Meta{}
 	seen := make(map[string]bool)
 	for _, pr := range results {
 		if pr.err != nil {
@@ -320,8 +322,8 @@ func (c *Coordinator) handleRefList(w http.ResponseWriter, r *http.Request) {
 			all = append(all, ref)
 		}
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
-	writeJSON(w, http.StatusOK, map[string]any{"references": all})
+	refstore.SortMetas(all)
+	apiclient.WriteJSON(w, http.StatusOK, apiclient.ReferenceList{References: all})
 }
 
 // handleRefDelete removes the reference from every ring owner. A 404
@@ -332,8 +334,7 @@ func (c *Coordinator) handleRefDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	owners := c.ownerRefs(id)
 	if len(owners) == 0 {
-		writeError(w, http.StatusServiceUnavailable, "unavailable",
-			"no shards in the ring", r.Header.Get("X-Request-Id"))
+		apiclient.WriteError(w, http.StatusServiceUnavailable, "no shards in the ring", apiclient.RequestID(r))
 		return
 	}
 	notFound := 0
@@ -349,8 +350,8 @@ func (c *Coordinator) handleRefDelete(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if notFound == len(owners) {
-		writeError(w, http.StatusNotFound, "not_found",
-			fmt.Sprintf("reference %s not found on any owner", id), r.Header.Get("X-Request-Id"))
+		apiclient.WriteError(w, http.StatusNotFound,
+			fmt.Sprintf("reference %s not found on any owner", id), apiclient.RequestID(r))
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -359,7 +360,7 @@ func (c *Coordinator) handleRefDelete(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleJobList(w http.ResponseWriter, r *http.Request) {
 	peers := c.ring.Peers()
 	type peerJobs struct {
-		jobs []apiclient.JobStatus
+		jobs []jobs.Status
 		peer string
 		err  error
 	}
@@ -370,12 +371,12 @@ func (c *Coordinator) handleJobList(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			jobs, err := cl.ListJobs(r.Context())
-			results[i] = peerJobs{jobs, peers[i], err}
+			list, err := cl.ListJobs(r.Context())
+			results[i] = peerJobs{list, peers[i], err}
 		}(i)
 	}
 	wg.Wait()
-	all := []apiclient.JobStatus{}
+	all := []jobs.Status{}
 	for _, pj := range results {
 		if pj.err != nil {
 			c.relayError(w, r, pj.peer, pj.err)
@@ -383,8 +384,8 @@ func (c *Coordinator) handleJobList(w http.ResponseWriter, r *http.Request) {
 		}
 		all = append(all, pj.jobs...)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": all})
+	jobs.SortStatuses(all)
+	apiclient.WriteJSON(w, http.StatusOK, apiclient.JobList{Jobs: all})
 }
 
 // handleReadyz aggregates per-shard readiness: probe "peer:<host>"
@@ -393,19 +394,14 @@ func (c *Coordinator) handleJobList(w http.ResponseWriter, r *http.Request) {
 // orchestrators need one parser.
 func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	peers := c.ring.Peers()
-	type probe struct {
-		Name   string `json:"name"`
-		OK     bool   `json:"ok"`
-		Detail string `json:"detail,omitempty"`
-	}
-	probes := make([]probe, len(peers)+1)
+	probes := make([]apiclient.ReadyProbe, len(peers)+1)
 	var wg sync.WaitGroup
 	for i, peer := range peers {
 		cl := c.client(peer)
 		wg.Add(1)
 		go func(i int, peer string) {
 			defer wg.Done()
-			p := probe{Name: "peer:" + peerLabel(peer)}
+			p := apiclient.ReadyProbe{Name: "peer:" + peerLabel(peer)}
 			st, err := cl.Ready(r.Context())
 			switch {
 			case err != nil:
@@ -424,25 +420,25 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		}(i, peer)
 	}
 	wg.Wait()
-	ready := true
-	for _, p := range probes[:len(peers)] {
-		if !p.OK {
-			ready = false
-		}
-	}
-	probes[len(peers)] = probe{
+	probes[len(peers)] = apiclient.ReadyProbe{
 		Name: "ring", OK: len(peers) > 0,
 		Detail: fmt.Sprintf("peers=%d vnodes=%d", len(peers), c.ring.vnodes),
 	}
+	st := apiclient.ReadyStatus{Ready: true, Probes: probes}
+	for _, p := range probes[:len(peers)] {
+		if !p.OK {
+			st.Ready = false
+		}
+	}
 	status := http.StatusOK
-	if !ready {
+	if !st.Ready {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, map[string]any{"ready": ready, "probes": probes})
+	apiclient.WriteJSON(w, status, st)
 }
 
 func (c *Coordinator) handleRing(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	apiclient.WriteJSON(w, http.StatusOK, map[string]any{
 		"peers":         c.ring.Peers(),
 		"virtual_nodes": c.ring.vnodes,
 		"replicas":      c.replicas,
@@ -460,25 +456,22 @@ func (c *Coordinator) handleRing(w http.ResponseWriter, r *http.Request) {
 // the lock covers the membership change too, keeping change+repair
 // atomic with respect to other rebalances.
 func (c *Coordinator) handleRebalance(w http.ResponseWriter, r *http.Request) {
-	rid := r.Header.Get("X-Request-Id")
+	rid := apiclient.RequestID(r)
 	// Read one byte past the cap to tell "exactly 1 MiB" from
 	// "truncated at 1 MiB": a truncated JSON body must be 413, not a
 	// confusing parse error.
 	const maxBody = 1 << 20
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody+1))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_argument",
-			fmt.Sprintf("reading body: %v", err), rid)
+		apiclient.WriteError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err), rid)
 		return
 	}
 	if len(body) > maxBody {
-		writeError(w, http.StatusRequestEntityTooLarge, "payload_too_large",
-			fmt.Sprintf("body exceeds %d bytes", maxBody), rid)
+		apiclient.WriteError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", maxBody), rid)
 		return
 	}
 	if !c.rebalanceMu.TryLock() {
-		writeError(w, http.StatusConflict, "conflict",
-			"a rebalance is already running", rid)
+		apiclient.WriteError(w, http.StatusConflict, "a rebalance is already running", rid)
 		return
 	}
 	defer c.rebalanceMu.Unlock()
@@ -487,23 +480,22 @@ func (c *Coordinator) handleRebalance(w http.ResponseWriter, r *http.Request) {
 			Peers []string `json:"peers"`
 		}
 		if err := json.Unmarshal(body, &req); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid_argument",
-				fmt.Sprintf("parsing body: %v", err), rid)
+			apiclient.WriteError(w, http.StatusBadRequest, fmt.Sprintf("parsing body: %v", err), rid)
 			return
 		}
 		if req.Peers != nil {
 			if err := c.SetPeers(req.Peers); err != nil {
-				writeError(w, http.StatusBadRequest, "invalid_argument", err.Error(), rid)
+				apiclient.WriteError(w, http.StatusBadRequest, err.Error(), rid)
 				return
 			}
 		}
 	}
 	moved, scanned, err := c.rebalance(r.Context())
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, "unavailable", err.Error(), rid)
+		apiclient.WriteError(w, http.StatusServiceUnavailable, err.Error(), rid)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	apiclient.WriteJSON(w, http.StatusOK, map[string]any{
 		"moved": moved, "scanned": scanned, "peers": c.ring.Peers(),
 	})
 }

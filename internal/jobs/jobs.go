@@ -45,6 +45,8 @@ package jobs
 
 import (
 	"context"
+	crand "crypto/rand"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -270,6 +272,9 @@ type Manager struct {
 	jobs   map[string]*job
 	seq    uint64
 	closed bool
+	// idSuffix makes ids unique across Managers (the shards of a
+	// cluster all count from 1): ids are job-<seq>-<idSuffix>.
+	idSuffix string
 
 	tasks chan task
 	wg    sync.WaitGroup
@@ -341,6 +346,11 @@ func Open(cfg Config) (*Manager, error) {
 		stop:  make(chan struct{}),
 		rng:   rand.New(rand.NewSource(1)), // jitter only; determinism aids replay
 	}
+	var suffix [4]byte
+	if _, err := crand.Read(suffix[:]); err != nil {
+		return nil, fmt.Errorf("jobs: drawing the id suffix: %w", err)
+	}
+	m.idSuffix = hex.EncodeToString(suffix[:])
 	m.seq = maxSeq
 	for _, j := range recovered {
 		m.jobs[j.id] = j
@@ -489,7 +499,7 @@ func (m *Manager) Submit(spec Spec) (string, error) {
 	}
 	m.seq++
 	j := &job{
-		id:      fmt.Sprintf("job-%06d", m.seq),
+		id:      fmt.Sprintf("job-%06d-%s", m.seq, m.idSuffix),
 		spec:    spec,
 		ref:     ref,
 		total:   len(spec.Scans),
@@ -544,10 +554,15 @@ func (m *Manager) List() []Status {
 	for i, j := range js {
 		out[i] = j.snapshot()
 	}
-	// IDs are zero-padded sequence numbers, so lexical order is
-	// submission order.
-	sort.Slice(out, func(i, k int) bool { return out[i].ID > out[k].ID })
+	SortStatuses(out)
 	return out
+}
+
+// SortStatuses puts snapshots in List's order: by id descending. Ids
+// start with a zero-padded sequence number, so within one Manager
+// that is newest first.
+func SortStatuses(s []Status) {
+	sort.Slice(s, func(i, k int) bool { return s[i].ID > s[k].ID })
 }
 
 // Cancel marks a job canceled. Queued scans are skipped; a scan

@@ -365,13 +365,18 @@ func (s *Store) List() []Meta {
 	for _, e := range s.refs {
 		out = append(out, e.meta)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].Created.Equal(out[j].Created) {
-			return out[i].Created.After(out[j].Created)
-		}
-		return out[i].ID < out[j].ID
-	})
+	SortMetas(out)
 	return out
+}
+
+// SortMetas puts metadata in List's order: newest first, ties by id.
+func SortMetas(m []Meta) {
+	sort.Slice(m, func(i, j int) bool {
+		if !m[i].Created.Equal(m[j].Created) {
+			return m[i].Created.After(m[j].Created)
+		}
+		return m[i].ID < m[j].ID
+	})
 }
 
 // Len returns the number of live references.

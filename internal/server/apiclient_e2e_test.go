@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"sysrle/internal/apiclient"
+	"sysrle/internal/docclean"
 	"sysrle/internal/imageio"
 	"sysrle/internal/rle"
 )
@@ -212,8 +213,9 @@ func TestClientDocClean(t *testing.T) {
 	c, _ := e2eClient(t)
 	page := testPage(t)
 	rep, err := c.DocClean(context.Background(), apiclient.DocCleanRequest{
-		Image: page, MaxSpeckleArea: 4, MinLineLen: 40,
-		CloseGapX: 5, CloseGapY: 3, MinBlockArea: 10,
+		Image: page,
+		Config: docclean.Config{MaxSpeckleArea: 4, MinLineLen: 40,
+			CloseGapX: 5, CloseGapY: 3, MinBlockArea: 10},
 	})
 	if err != nil {
 		t.Fatalf("DocClean: %v", err)

@@ -1,11 +1,11 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
 
+	"sysrle/internal/apiclient"
 	"sysrle/internal/docclean"
 	"sysrle/internal/imageio"
 )
@@ -81,10 +81,7 @@ func (s *Server) handleDocClean(w http.ResponseWriter, r *http.Request) {
 		if res.Blocks == nil {
 			res.Blocks = []docclean.Block{}
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(res)
+		apiclient.WriteJSON(w, http.StatusOK, res)
 		return
 	}
 	w.Header().Set("Content-Type", imageio.ContentType(format))

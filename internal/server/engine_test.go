@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"sysrle"
+	"sysrle/internal/apiclient"
 	"sysrle/internal/core"
 	"sysrle/internal/imageio"
 	"sysrle/internal/jobs"
@@ -105,7 +106,7 @@ func TestDefaultEngineMatchesLockstep(t *testing.T) {
 // name the engine or count its work cleared.
 func withoutEngineWork(t *testing.T, raw []byte) []byte {
 	t.Helper()
-	var rep inspectResponse
+	var rep apiclient.InspectReport
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		t.Fatal(err)
 	}

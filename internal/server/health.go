@@ -12,6 +12,8 @@ package server
 import (
 	"fmt"
 	"net/http"
+
+	"sysrle/internal/apiclient"
 )
 
 // Saturation thresholds for the built-in probes, in tenths: the queue
@@ -21,19 +23,6 @@ const (
 	queueSaturationTenths = 9
 	refPressureTwentieths = 19
 )
-
-// ProbeResult is one probe's contribution to GET /readyz.
-type ProbeResult struct {
-	Name   string `json:"name"`
-	OK     bool   `json:"ok"`
-	Detail string `json:"detail,omitempty"`
-}
-
-// readyResponse is the JSON shape of GET /readyz.
-type readyResponse struct {
-	Ready  bool          `json:"ready"`
-	Probes []ProbeResult `json:"probes"`
-}
 
 // probe is one registered readiness check.
 type probe struct {
@@ -92,13 +81,13 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	probes := make([]probe, len(s.probes))
 	copy(probes, s.probes)
 	s.probeMu.Unlock()
-	resp := readyResponse{Ready: true, Probes: make([]ProbeResult, 0, len(probes))}
+	resp := apiclient.ReadyStatus{Ready: true, Probes: make([]apiclient.ReadyProbe, 0, len(probes))}
 	for _, p := range probes {
 		ok, detail := p.check()
 		if !ok {
 			resp.Ready = false
 		}
-		resp.Probes = append(resp.Probes, ProbeResult{Name: p.name, OK: ok, Detail: detail})
+		resp.Probes = append(resp.Probes, apiclient.ReadyProbe{Name: p.name, OK: ok, Detail: detail})
 	}
 	code := http.StatusOK
 	if !resp.Ready {
@@ -107,5 +96,5 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 			s.notReadyC.Inc()
 		}
 	}
-	writeJSON(w, code, resp)
+	apiclient.WriteJSON(w, code, resp)
 }

@@ -9,27 +9,28 @@ import (
 	"testing"
 	"time"
 
+	"sysrle/internal/apiclient"
 	"sysrle/internal/fault"
 	"sysrle/internal/jobs"
 	"sysrle/internal/rle"
 )
 
 // getReadyz fetches /readyz and decodes the per-probe breakdown.
-func getReadyz(t *testing.T, base string) (int, readyResponse) {
+func getReadyz(t *testing.T, base string) (int, apiclient.ReadyStatus) {
 	t.Helper()
 	resp, err := http.Get(base + "/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var body readyResponse
+	var body apiclient.ReadyStatus
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatalf("readyz body did not decode: %v", err)
 	}
 	return resp.StatusCode, body
 }
 
-func probeByName(t *testing.T, body readyResponse, name string) ProbeResult {
+func probeByName(t *testing.T, body apiclient.ReadyStatus, name string) apiclient.ReadyProbe {
 	t.Helper()
 	for _, p := range body.Probes {
 		if p.Name == name {
@@ -37,16 +38,16 @@ func probeByName(t *testing.T, body readyResponse, name string) ProbeResult {
 		}
 	}
 	t.Fatalf("probe %q missing from %+v", name, body.Probes)
-	return ProbeResult{}
+	return apiclient.ReadyProbe{}
 }
 
 // pollReadyz polls until /readyz returns want (sampling the body at
 // that moment) or the deadline passes.
-func pollReadyz(t *testing.T, base string, want int, timeout time.Duration) readyResponse {
+func pollReadyz(t *testing.T, base string, want int, timeout time.Duration) apiclient.ReadyStatus {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	var code int
-	var body readyResponse
+	var body apiclient.ReadyStatus
 	for time.Now().Before(deadline) {
 		code, body = getReadyz(t, base)
 		if code == want {
@@ -55,7 +56,7 @@ func pollReadyz(t *testing.T, base string, want int, timeout time.Duration) read
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("readyz never returned %d (last: %d %+v)", want, code, body)
-	return readyResponse{}
+	return apiclient.ReadyStatus{}
 }
 
 // flatImage builds a trivial h-row image pair that differs everywhere.

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"crypto/rand"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -12,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"sysrle/internal/apiclient"
 	"sysrle/internal/telemetry"
 )
 
@@ -25,47 +24,6 @@ import (
 // JSON error instead of killing the process. The access logger sits
 // outside the limiter and timeout so shed (429) and timed-out (503)
 // requests are still logged and counted.
-
-// ridPrefix makes request IDs unique across process restarts.
-var ridPrefix = func() string {
-	var b [4]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "00000000"
-	}
-	return hex.EncodeToString(b[:])
-}()
-
-var ridCounter atomic.Uint64
-
-func newRequestID() string {
-	return fmt.Sprintf("%s-%06d", ridPrefix, ridCounter.Add(1))
-}
-
-// requestIDHeader is the request/response header carrying the ID.
-const requestIDHeader = "X-Request-Id"
-
-// withRequestID tags the request and response with an ID, honoring a
-// sane inbound one (proxies often assign IDs upstream).
-func withRequestID(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get(requestIDHeader)
-		if id == "" || len(id) > 64 || !printableASCII(id) {
-			id = newRequestID()
-			r.Header.Set(requestIDHeader, id)
-		}
-		w.Header().Set(requestIDHeader, id)
-		next.ServeHTTP(w, r)
-	})
-}
-
-func printableASCII(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] < 0x21 || s[i] > 0x7e {
-			return false
-		}
-	}
-	return true
-}
 
 // withRecover turns handler panics into 500 JSON errors.
 func (s *Server) withRecover(next http.Handler) http.Handler {
@@ -81,7 +39,7 @@ func (s *Server) withRecover(next http.Handler) http.Handler {
 				panics.Inc()
 				s.log.Error("panic serving request",
 					"method", r.Method, "path", r.URL.Path,
-					"request_id", r.Header.Get(requestIDHeader), "panic", fmt.Sprint(v))
+					"request_id", apiclient.RequestID(r), "panic", fmt.Sprint(v))
 				// Best effort: if the handler already wrote, the extra
 				// WriteHeader is a no-op warning, not a crash.
 				s.httpError(w, r, http.StatusInternalServerError, fmt.Errorf("internal error"))
@@ -206,7 +164,7 @@ func (s *Server) withObserve(next http.Handler) http.Handler {
 			"bytes_in", body.n.Load(),
 			"bytes_out", sw.bytes,
 			"duration", elapsed,
-			"request_id", r.Header.Get(requestIDHeader),
+			"request_id", apiclient.RequestID(r),
 			"remote", r.RemoteAddr,
 		)
 	})
@@ -266,14 +224,14 @@ func (s *Server) wrap(mux http.Handler) http.Handler {
 	}
 	h = exempt(s.withLimit(h), h)
 	h = s.withObserve(h)
-	h = withRequestID(h)
+	h = apiclient.RequestIDHandler(h)
 	h = s.withRecover(h)
 	return h
 }
 
 // timeoutBody is what http.TimeoutHandler writes with its 503, in
 // the same envelope shape httpError renders.
-const timeoutBody = `{"error":{"code":"unavailable","message":"request timed out"}}`
+const timeoutBody = `{"error":{"code":"` + apiclient.CodeUnavailable + `","message":"request timed out"}}`
 
 // jsonOnBareWrite defaults Content-Type to application/json when the
 // inner handler writes headers without setting one.

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"sysrle/internal/apiclient"
 	"sysrle/internal/telemetry"
 )
 
@@ -34,13 +35,13 @@ func newTestServer(cfg Config, inner http.Handler) (*Server, http.Handler) {
 
 func TestRequestIDAssigned(t *testing.T) {
 	_, h := newTestServer(Config{}, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get(requestIDHeader) == "" {
+		if r.Header.Get(apiclient.RequestIDHeader) == "" {
 			t.Error("handler saw no request ID")
 		}
 	}))
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
-	if rec.Header().Get(requestIDHeader) == "" {
+	if rec.Header().Get(apiclient.RequestIDHeader) == "" {
 		t.Error("response missing X-Request-Id")
 	}
 }
@@ -48,10 +49,10 @@ func TestRequestIDAssigned(t *testing.T) {
 func TestRequestIDPropagated(t *testing.T) {
 	_, h := newTestServer(Config{}, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	req := httptest.NewRequest("GET", "/healthz", nil)
-	req.Header.Set(requestIDHeader, "upstream-42")
+	req.Header.Set(apiclient.RequestIDHeader, "upstream-42")
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
-	if got := rec.Header().Get(requestIDHeader); got != "upstream-42" {
+	if got := rec.Header().Get(apiclient.RequestIDHeader); got != "upstream-42" {
 		t.Errorf("request ID = %q, want upstream-42", got)
 	}
 }
@@ -59,10 +60,10 @@ func TestRequestIDPropagated(t *testing.T) {
 func TestRequestIDRejectsGarbage(t *testing.T) {
 	_, h := newTestServer(Config{}, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	req := httptest.NewRequest("GET", "/healthz", nil)
-	req.Header.Set(requestIDHeader, strings.Repeat("x", 200))
+	req.Header.Set(apiclient.RequestIDHeader, strings.Repeat("x", 200))
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
-	if got := rec.Header().Get(requestIDHeader); len(got) > 64 || got == "" {
+	if got := rec.Header().Get(apiclient.RequestIDHeader); len(got) > 64 || got == "" {
 		t.Errorf("oversized inbound ID not replaced: %q", got)
 	}
 }

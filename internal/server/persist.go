@@ -21,6 +21,7 @@ import (
 	"path"
 	"strings"
 
+	"sysrle/internal/apiclient"
 	"sysrle/internal/auditlog"
 	"sysrle/internal/fault"
 	"sysrle/internal/store"
@@ -97,13 +98,6 @@ func (s *Server) storageProbe() (bool, string) {
 	return true, fmt.Sprintf("dir=%s audit_batches=%d", s.cfg.DataDir, len(s.audit.Batches()))
 }
 
-// auditListResponse is the JSON shape of GET /v1/audit.
-type auditListResponse struct {
-	ChainHead string               `json:"chain_head"`
-	Pending   int                  `json:"pending"`
-	Batches   []auditlog.BatchInfo `json:"batches"`
-}
-
 func (s *Server) handleAuditBatches(w http.ResponseWriter, r *http.Request) {
 	if s.audit == nil {
 		s.httpError(w, r, http.StatusNotFound, errors.New("audit log not enabled (start with -data-dir)"))
@@ -113,7 +107,7 @@ func (s *Server) handleAuditBatches(w http.ResponseWriter, r *http.Request) {
 	if batches == nil {
 		batches = []auditlog.BatchInfo{}
 	}
-	writeJSON(w, http.StatusOK, auditListResponse{
+	apiclient.WriteJSON(w, http.StatusOK, apiclient.AuditSummary{
 		ChainHead: s.audit.ChainHead(),
 		Pending:   s.audit.Pending(),
 		Batches:   batches,
@@ -135,5 +129,5 @@ func (s *Server) handleAuditProof(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, r, code, fmt.Errorf("verdict %q: %w", id, err))
 		return
 	}
-	writeJSON(w, http.StatusOK, proof)
+	apiclient.WriteJSON(w, http.StatusOK, proof)
 }

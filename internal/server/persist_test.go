@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"sysrle/internal/apiclient"
 	"sysrle/internal/auditlog"
 	"sysrle/internal/jobs"
 	"sysrle/internal/rle"
@@ -161,7 +162,7 @@ func TestAuditProofEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sum auditListResponse
+	var sum apiclient.AuditSummary
 	decodeJSON(t, resp, &sum)
 	if sum.ChainHead == "" || len(sum.Batches) == 0 {
 		t.Errorf("audit summary after a flushed proof: %+v", sum)

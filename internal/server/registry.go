@@ -6,26 +6,17 @@ package server
 // scans against it and poll.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
 
+	"sysrle/internal/apiclient"
 	"sysrle/internal/imageio"
 	"sysrle/internal/jobs"
 	"sysrle/internal/refstore"
 	"sysrle/internal/rle"
 )
-
-// writeJSON renders one response body.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
 
 func (s *Server) handleRefPut(w http.ResponseWriter, r *http.Request) {
 	if !s.parseForm(w, r) {
@@ -42,16 +33,11 @@ func (s *Server) handleRefPut(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, r, http.StatusUnprocessableEntity, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, meta)
-}
-
-// refListResponse is the JSON shape of GET /v1/references.
-type refListResponse struct {
-	References []refstore.Meta `json:"references"`
+	apiclient.WriteJSON(w, http.StatusCreated, meta)
 }
 
 func (s *Server) handleRefList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, refListResponse{References: s.refs.List()})
+	apiclient.WriteJSON(w, http.StatusOK, apiclient.ReferenceList{References: s.refs.List()})
 }
 
 func (s *Server) handleRefGet(w http.ResponseWriter, r *http.Request) {
@@ -61,7 +47,7 @@ func (s *Server) handleRefGet(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, r, http.StatusNotFound, fmt.Errorf("reference %q: %w", id, refstore.ErrNotFound))
 		return
 	}
-	writeJSON(w, http.StatusOK, meta)
+	apiclient.WriteJSON(w, http.StatusOK, meta)
 }
 
 // handleRefContent streams the canonical RLEB encoding of a stored
@@ -102,6 +88,16 @@ func intQuery(r *http.Request, name string, lo, hi int) (int, error) {
 	return v, nil
 }
 
+// inspectQuery parses the inspect parameters shared by POST
+// /v1/inspect and POST /v1/jobs: min-area and align.
+func inspectQuery(r *http.Request) (minDefectArea, maxAlignShift int, err error) {
+	if minDefectArea, err = intQuery(r, "min-area", 0, 1<<30); err != nil {
+		return 0, 0, err
+	}
+	maxAlignShift, err = intQuery(r, "align", 0, 256)
+	return minDefectArea, maxAlignShift, err
+}
+
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	spec := jobs.Spec{
 		Type:   r.URL.Query().Get("type"),
@@ -110,11 +106,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	switch spec.Type {
 	case "", jobs.TypeInspect:
 		var err error
-		if spec.MinDefectArea, err = intQuery(r, "min-area", 0, 1<<30); err != nil {
-			s.httpError(w, r, http.StatusBadRequest, err)
-			return
-		}
-		if spec.MaxAlignShift, err = intQuery(r, "align", 0, 256); err != nil {
+		if spec.MinDefectArea, spec.MaxAlignShift, err = inspectQuery(r); err != nil {
 			s.httpError(w, r, http.StatusBadRequest, err)
 			return
 		}
@@ -204,16 +196,11 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Location", "/v1/jobs/"+id)
-	writeJSON(w, http.StatusAccepted, status)
-}
-
-// jobListResponse is the JSON shape of GET /v1/jobs.
-type jobListResponse struct {
-	Jobs []jobs.Status `json:"jobs"`
+	apiclient.WriteJSON(w, http.StatusAccepted, status)
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, jobListResponse{Jobs: s.jobs.List()})
+	apiclient.WriteJSON(w, http.StatusOK, apiclient.JobList{Jobs: s.jobs.List()})
 }
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
@@ -223,7 +210,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, r, http.StatusNotFound, fmt.Errorf("job %q: %w", id, jobs.ErrNotFound))
 		return
 	}
-	writeJSON(w, http.StatusOK, status)
+	apiclient.WriteJSON(w, http.StatusOK, status)
 }
 
 func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"sysrle/internal/apiclient"
 	"sysrle/internal/imageio"
 	"sysrle/internal/jobs"
 	"sysrle/internal/rle"
@@ -194,7 +195,7 @@ func TestInspectByReferenceMatchesUpload(t *testing.T) {
 	ref, scan, _ := testBoards(t)
 	id := postRef(t, srv.URL, ref)
 
-	run := func(query string, files map[string]*rle.Image) inspectResponse {
+	run := func(query string, files map[string]*rle.Image) apiclient.InspectReport {
 		body, ctype := multipartBody(t, "rleb", files)
 		resp, err := http.Post(srv.URL+"/v1/inspect?min-area=2"+query, ctype, body)
 		if err != nil {
@@ -205,7 +206,7 @@ func TestInspectByReferenceMatchesUpload(t *testing.T) {
 			resp.Body.Close()
 			t.Fatalf("inspect status %d: %s", resp.StatusCode, b)
 		}
-		var ir inspectResponse
+		var ir apiclient.InspectReport
 		decodeJSON(t, resp, &ir)
 		return ir
 	}
@@ -282,7 +283,7 @@ func TestJobEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sync inspectResponse
+	var sync apiclient.InspectReport
 	decodeJSON(t, resp, &sync)
 
 	form, formType := jobForm(t, []*rle.Image{scan, ref, scan}, nil)

@@ -153,14 +153,12 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"mime/multipart"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -657,42 +655,16 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	_ = imageio.Write(w, format, diff)
 }
 
-// inspectResponse is the JSON shape of /v1/inspect.
-type inspectResponse struct {
-	Engine           string           `json:"engine"`
-	RowsCompared     int              `json:"rows_compared"`
-	RowsDiffering    int              `json:"rows_differing"`
-	DiffPixels       int              `json:"diff_pixels"`
-	DiffRuns         int              `json:"diff_runs"`
-	TotalIterations  int              `json:"iterations_total"`
-	MaxRowIterations int              `json:"iterations_max_row"`
-	Clean            bool             `json:"clean"`
-	AlignDX          int              `json:"align_dx"`
-	AlignDY          int              `json:"align_dy"`
-	Defects          []inspect.Defect `json:"defects"`
-}
-
 func (s *Server) handleInspect(w http.ResponseWriter, r *http.Request) {
 	engine, err := s.engineFromQuery(r)
 	if err != nil {
 		s.httpError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	minArea := 0
-	if q := r.URL.Query().Get("min-area"); q != "" {
-		minArea, err = strconv.Atoi(q)
-		if err != nil || minArea < 0 {
-			s.httpError(w, r, http.StatusBadRequest, fmt.Errorf("bad min-area %q", q))
-			return
-		}
-	}
-	maxAlign := 0
-	if q := r.URL.Query().Get("align"); q != "" {
-		maxAlign, err = strconv.Atoi(q)
-		if err != nil || maxAlign < 0 || maxAlign > 256 {
-			s.httpError(w, r, http.StatusBadRequest, fmt.Errorf("bad align %q (want 0..256)", q))
-			return
-		}
+	minArea, maxAlign, err := inspectQuery(r)
+	if err != nil {
+		s.httpError(w, r, http.StatusBadRequest, err)
+		return
 	}
 	ref, scan, ok := s.parseUploads(w, r, "ref", "scan")
 	if !ok {
@@ -705,7 +677,7 @@ func (s *Server) handleInspect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.recordEngine(engine.Name(), rep.TotalIterations, rep.RowsDiffering)
-	resp := inspectResponse{
+	resp := apiclient.InspectReport{
 		Engine:           engine.Name(),
 		RowsCompared:     rep.RowsCompared,
 		RowsDiffering:    rep.RowsDiffering,
@@ -721,28 +693,17 @@ func (s *Server) handleInspect(w http.ResponseWriter, r *http.Request) {
 	if resp.Defects == nil {
 		resp.Defects = []inspect.Defect{}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(resp)
-}
-
-// alignResponse is the JSON shape of /v1/align.
-type alignResponse struct {
-	DX           int `json:"dx"`
-	DY           int `json:"dy"`
-	ResidualArea int `json:"residual_area"`
+	apiclient.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
-	maxShift := 4
-	if q := r.URL.Query().Get("max-shift"); q != "" {
-		var err error
-		maxShift, err = strconv.Atoi(q)
-		if err != nil || maxShift < 1 || maxShift > 64 {
-			s.httpError(w, r, http.StatusBadRequest, fmt.Errorf("bad max-shift %q (want 1..64)", q))
-			return
-		}
+	maxShift, err := intQuery(r, "max-shift", 1, 64)
+	if err != nil {
+		s.httpError(w, r, http.StatusBadRequest, err)
+		return
+	}
+	if maxShift == 0 {
+		maxShift = 4
 	}
 	ref, scan, ok := s.parseUploads(w, r, "ref", "scan")
 	if !ok {
@@ -754,75 +715,20 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	dx, dy, area := inspect.Align(ref, scan, maxShift)
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(alignResponse{DX: dx, DY: dy, ResidualArea: area})
+	apiclient.WriteJSON(w, http.StatusOK, apiclient.AlignResult{DX: dx, DY: dy, ResidualArea: area})
 }
 
-// errorBody is the unified v1 error envelope: every error response
-// from every endpoint is {"error": {"code", "message", "request_id"}}
-// with the HTTP status unchanged from before the envelope existed.
-// Code is the stable machine-readable name for the status class
-// (clients switch on it instead of matching message text), Message is
-// human-readable, and RequestID correlates the failure with the access
-// log and the X-Request-Id response header.
-type errorBody struct {
-	Code      string `json:"code"`
-	Message   string `json:"message"`
-	RequestID string `json:"request_id,omitempty"`
-}
-
-type errorResponse struct {
-	Error errorBody `json:"error"`
-}
-
-// errorCodeForStatus maps an HTTP status onto its envelope code.
-func errorCodeForStatus(status int) string {
-	switch status {
-	case http.StatusBadRequest:
-		return "invalid_argument"
-	case http.StatusNotFound:
-		return "not_found"
-	case http.StatusRequestEntityTooLarge:
-		return "payload_too_large"
-	case http.StatusUnprocessableEntity:
-		return "unprocessable"
-	case http.StatusTooManyRequests:
-		return "resource_exhausted"
-	case http.StatusServiceUnavailable:
-		return "unavailable"
-	case http.StatusInternalServerError:
-		return "internal"
-	default:
-		return fmt.Sprintf("http_%d", status)
-	}
-}
-
-// requestID extracts the middleware-assigned request id.
-func requestID(r *http.Request) string {
-	if r == nil {
-		return ""
-	}
-	return r.Header.Get(requestIDHeader)
-}
-
-// httpError renders the unified error envelope — the single helper
-// every handler's error path goes through. 500-class details never
-// reach the client: storage and registry errors can carry file paths
-// and addresses, so the wire message is generic and the real error
-// goes to the log under the same request id.
+// httpError answers with the v1 error envelope (apiclient.WriteError)
+// — the single helper every handler's error path goes through.
+// 500-class details never reach the client: storage and registry
+// errors can carry file paths and addresses, so the wire message is
+// generic and the real error goes to the log under the same request
+// id.
 func (s *Server) httpError(w http.ResponseWriter, r *http.Request, status int, err error) {
 	msg := err.Error()
 	if status == http.StatusInternalServerError {
-		s.log.Error("internal error", "status", status, "err", err, "request_id", requestID(r))
+		s.log.Error("internal error", "status", status, "err", err, "request_id", apiclient.RequestID(r))
 		msg = "internal error"
 	}
-	writeErrorEnvelope(w, status, errorCodeForStatus(status), msg, requestID(r))
-}
-
-// writeErrorEnvelope writes the envelope itself; httpError is the
-// usual entry, this is for callers that already sanitized.
-func writeErrorEnvelope(w http.ResponseWriter, status int, code, msg, rid string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(errorResponse{Error: errorBody{Code: code, Message: msg, RequestID: rid}})
+	apiclient.WriteError(w, status, msg, apiclient.RequestID(r))
 }

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"sysrle/internal/apiclient"
 	"sysrle/internal/imageio"
 	"sysrle/internal/inspect"
 	"sysrle/internal/rle"
@@ -35,6 +36,11 @@ func multipartBody(t *testing.T, format string, files map[string]*rle.Image) (io
 		t.Fatal(err)
 	}
 	return &buf, mw.FormDataContentType()
+}
+
+// errorResponse decodes the message of the v1 error envelope.
+type errorResponse struct {
+	Error struct{ Message string }
 }
 
 func testBoards(t *testing.T) (*rle.Image, *rle.Image, int) {
@@ -162,7 +168,7 @@ func TestInspectEndpoint(t *testing.T) {
 		raw, _ := io.ReadAll(resp.Body)
 		t.Fatalf("status %d: %s", resp.StatusCode, raw)
 	}
-	var rep inspectResponse
+	var rep apiclient.InspectReport
 	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +198,7 @@ func TestInspectCleanBoard(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var rep inspectResponse
+	var rep apiclient.InspectReport
 	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +242,7 @@ func TestAlignEndpoint(t *testing.T) {
 		raw, _ := io.ReadAll(resp.Body)
 		t.Fatalf("status %d: %s", resp.StatusCode, raw)
 	}
-	var rep alignResponse
+	var rep apiclient.AlignResult
 	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +440,7 @@ func TestInspectWithAlignment(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var rep inspectResponse
+	var rep apiclient.InspectReport
 	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
 		t.Fatal(err)
 	}
