@@ -17,10 +17,12 @@ ci:
 	$(GO) test -fuzz FuzzReadPBM -fuzztime 15s ./internal/bitmap/
 	$(GO) test -fuzz FuzzUnionOfTranslates -fuzztime 15s ./internal/runmorph/
 	$(GO) test -fuzz FuzzErodeIntersection -fuzztime 15s ./internal/runmorph/
-	$(MAKE) chaos
-	$(MAKE) chaos-disk
-	$(MAKE) oracle
+	$(MAKE) perf-smoke
 	$(MAKE) perfbench-smoke
+	$(MAKE) oracle
+	$(MAKE) chaos
+	$(MAKE) cluster-smoke
+	$(MAKE) chaos-disk
 
 # The fault-tolerance suite under the race detector, repeated to
 # shake out timing-dependent interleavings, plus the cluster

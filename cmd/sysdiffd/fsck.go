@@ -10,6 +10,10 @@ package main
 //     torn tail was truncated (expected after a crash, not an error)
 //   - the audit log re-verifies every batch root and chain link, then
 //     re-derives and checks the inclusion proof of every verdict
+//   - a scan with more than one verdict is reported: its verdict
+//     reached a sealed batch but its journal record did not, so
+//     recovery ran it again. Both verdicts verify, so this is not a
+//     problem for the exit status.
 //
 // Exit 0 when everything verifies; 1 when anything is corrupt.
 
@@ -76,6 +80,8 @@ func runFsck(fsys store.FS, dataDir string, out io.Writer) error {
 		return fmt.Errorf("audit: verify: %w", err)
 	}
 	proofs, badProofs := 0, 0
+	verdicts := map[string][]string{} // "job J scan N" → verdict ids
+	var rerun []string                // the keys with a second verdict
 	for _, info := range log.Batches() {
 		b, err := log.Batch(info.Seq)
 		if err != nil {
@@ -83,6 +89,10 @@ func runFsck(fsys store.FS, dataDir string, out io.Writer) error {
 			continue
 		}
 		for _, v := range b.Verdicts {
+			k := fmt.Sprintf("job %s scan %d", v.JobID, v.ScanIndex)
+			if verdicts[k] = append(verdicts[k], v.ID); len(verdicts[k]) == 2 {
+				rerun = append(rerun, k)
+			}
 			proofs++
 			p, err := log.Proof(v.ID)
 			if err != nil {
@@ -97,6 +107,9 @@ func runFsck(fsys store.FS, dataDir string, out io.Writer) error {
 	fmt.Fprintf(out, "audit  %d batches, %d verdicts, %d proofs re-verified: %d chain errors, %d bad proofs\n",
 		rep.Batches, rep.Verdicts, proofs, len(rep.Errors), badProofs)
 	bad += len(rep.Errors) + badProofs
+	for _, k := range rerun {
+		fmt.Fprintf(out, "audit  %s has %d verdicts (re-run after recovery): %v\n", k, len(verdicts[k]), verdicts[k])
+	}
 
 	if bad > 0 {
 		return fmt.Errorf("fsck: %d problem(s) found", bad)

@@ -89,6 +89,34 @@ func TestRunFsckCleanAndCorrupt(t *testing.T) {
 	}
 }
 
+// TestRunFsckReportsRerunScan: a scan with two verdicts (the second
+// appended after a restart lost its journal record) is reported by
+// its job and scan index, and fsck still exits clean.
+func TestRunFsckReportsRerunScan(t *testing.T) {
+	fs := store.NewMemFS()
+	id := populateDataDir(t, fs)
+	log, _, err := auditlog.Open(fs, "data/audit", auditlog.Config{FlushInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.Append(auditlog.Verdict{
+		Time: time.Unix(2000, 0), JobID: "job-000001", ScanIndex: 1, RefID: id, Engine: "planner", Defects: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := runFsck(fs, "data", &out); err != nil {
+		t.Fatalf("fsck: %v\n%s", err, out.String())
+	}
+	if got := strings.Count(out.String(), "verdicts (re-run"); got != 1 ||
+		!strings.Contains(out.String(), "job job-000001 scan 1 has 2 verdicts") {
+		t.Errorf("want one report line for scan 1:\n%s", out.String())
+	}
+}
+
 func TestRunFsckNeedsDataDir(t *testing.T) {
 	if err := runFsck(store.NewMemFS(), "", &bytes.Buffer{}); err == nil {
 		t.Fatal("fsck without -data-dir must fail")

@@ -108,6 +108,33 @@ func WriteError(w http.ResponseWriter, status int, msg, requestID string) {
 	_ = json.NewEncoder(w).Encode(errorEnvelope{errorBody{codeForStatus(status), msg, requestID}})
 }
 
+// EnvelopeUnrouted serves mux, answering a request that no route
+// matches with the v1 error envelope in place of ServeMux's plain
+// text: 404, or 405 with the mux's Allow header. Shard and
+// coordinator both serve their routes through it.
+func EnvelopeUnrouted(mux *http.ServeMux) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if _, pattern := mux.Handler(r); pattern == "" {
+			w = unroutedWriter{w, r}
+		}
+		mux.ServeHTTP(w, r)
+	})
+}
+
+// unroutedWriter writes the envelope for the mux's 404 or 405 status
+// (the mux sets Allow before it) and drops the mux's text.
+type unroutedWriter struct {
+	http.ResponseWriter
+	r *http.Request
+}
+
+func (u unroutedWriter) WriteHeader(status int) {
+	WriteError(u.ResponseWriter, status,
+		fmt.Sprintf("%s: %s %s", http.StatusText(status), u.r.Method, u.r.URL.Path), RequestID(u.r))
+}
+
+func (u unroutedWriter) Write(p []byte) (int, error) { return len(p), nil }
+
 // decodeError turns a non-2xx response into a *Error, consuming and
 // closing the body. A body that is not the envelope becomes the
 // message, and the code falls back to the status's.

@@ -47,14 +47,14 @@ type DiffRequest struct {
 	RefID string
 	// B is the second image.
 	B *rle.Image
-	// Engine selects the row-difference engine by registry name;
-	// empty means the server default.
+	// Engine selects the row-difference engine by served name
+	// (sysrle.NewServedEngine); empty means the server default.
 	Engine string
 }
 
 // DiffResult is the decoded response: the difference image plus the
 // engine statistics from the X-Sysrle-* headers. Stats counts the work
-// of the engine that ran (Engine). For the systolic engines an
+// of the engine that ran (Engine). For engine "lockstep" an
 // iteration is a systolic iteration and cells are array cells. For
 // the default planner an iteration is a merge step on a row routed to
 // the RLE merge plus a 64-pixel word on a row routed to the packed
@@ -98,7 +98,6 @@ func (c *Client) Diff(ctx context.Context, req DiffRequest) (*DiffResult, error)
 	res.Stats.MaxRowIterations = headerInt(resp, "X-Sysrle-Iterations-Max-Row")
 	res.Stats.TotalCells = headerInt(resp, "X-Sysrle-Cells-Total")
 	res.Stats.MaxRowCells = headerInt(resp, "X-Sysrle-Cells-Max-Row")
-	res.Stats.FaultsRecovered = headerInt(resp, "X-Sysrle-Faults-Recovered")
 	res.DiffPixels = headerInt(resp, "X-Sysrle-Diff-Pixels")
 	return res, nil
 }
@@ -116,9 +115,6 @@ func SetDiffHeaders(h http.Header, format string, stats sysrle.ImageStats, engin
 	h.Set("X-Sysrle-Iterations-Max-Row", strconv.Itoa(stats.MaxRowIterations))
 	h.Set("X-Sysrle-Cells-Total", strconv.Itoa(stats.TotalCells))
 	h.Set("X-Sysrle-Cells-Max-Row", strconv.Itoa(stats.MaxRowCells))
-	if stats.FaultsRecovered > 0 {
-		h.Set("X-Sysrle-Faults-Recovered", strconv.Itoa(stats.FaultsRecovered))
-	}
 	h.Set("X-Sysrle-Diff-Pixels", strconv.Itoa(diffPixels))
 }
 

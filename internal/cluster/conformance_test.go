@@ -21,6 +21,7 @@ import (
 	"testing"
 
 	"sysrle/internal/imageio"
+	"sysrle/internal/perf"
 	"sysrle/internal/refstore"
 	"sysrle/internal/rle"
 	"sysrle/internal/server"
@@ -228,6 +229,11 @@ func TestConformanceAcrossDeployments(t *testing.T) {
 	tallA := genImage(t, 3, 96, 150)
 	tallB := genImage(t, 4, 96, 150)
 	zoneA, zoneB := hysteresisPair()
+	// One 4096-wide row pair of alternating pixels needs 4097 cells.
+	wide, err := perf.GeneratePair("worst", 4096, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	refID, err := refstore.ContentID(ref)
 	if err != nil {
 		t.Fatal(err)
@@ -307,9 +313,10 @@ func TestConformanceAcrossDeployments(t *testing.T) {
 		{name: "unknown reference", method: "GET", path: "/v1/references/0000beef", status: 404, code: "not_found"},
 		{name: "unknown job", method: "GET", path: "/v1/jobs/nope", status: 404, code: "not_found"},
 		{name: "delete unknown job", method: "DELETE", path: "/v1/jobs/nope", status: 404, code: "not_found"},
-		// Go's ServeMux answers 405 in plain text on shard and
-		// coordinator alike: there is no envelope to compare.
-		{name: "wrong method", method: "GET", path: "/v1/diff", status: 405},
+		{name: "unserved engine", method: "POST", path: "/v1/diff?engine=channel",
+			parts: []part{as(R, "a"), as(S, "b")}, status: 400, code: "invalid_argument"},
+		{name: "wrong method", method: "GET", path: "/v1/diff", status: 405, code: "http_405"},
+		{name: "unknown path", method: "GET", path: "/v1/nope", status: 404, code: "not_found"},
 		{name: "oversize diff", method: "POST", path: "/v1/diff", parts: []part{oversize("a"), as(S, "b")},
 			status: 413, code: "payload_too_large"},
 		{name: "oversize reference", method: "POST", path: "/v1/references", parts: []part{oversize("image")},
@@ -322,6 +329,8 @@ func TestConformanceAcrossDeployments(t *testing.T) {
 			status: 422, code: "unprocessable"},
 		{name: "align size mismatch", method: "POST", path: "/v1/align",
 			parts: []part{as(R, "ref"), part{"scan", "scan.rleb", tallBp.data}}, status: 422, code: "unprocessable"},
+		{name: "lockstep over the cell cap", method: "POST", path: "/v1/diff?engine=lockstep",
+			parts: []part{filePart(t, "a", wide.A), filePart(t, "b", wide.B)}, status: 422, code: "unprocessable"},
 		{name: "job queue full", method: "POST", path: "/v1/jobs?ref={ref}",
 			parts: []part{as(S, "scan"), as(S, "scan"), as(S, "scan")}, status: 429, code: "resource_exhausted"},
 	}
@@ -361,8 +370,10 @@ func TestConformanceAcrossDeployments(t *testing.T) {
 				base = got
 				continue
 			}
-			if ra, want := got.header.Get("Retry-After"), base.header.Get("Retry-After"); ra != want {
-				t.Errorf("%s: Retry-After %q, single node %q", where, ra, want)
+			for _, h := range []string{"Retry-After", "Allow"} {
+				if v, want := got.header.Get(h), base.header.Get(h); v != want {
+					t.Errorf("%s: %s %q, single node %q", where, h, v, want)
+				}
 			}
 			if row.status >= 300 {
 				continue

@@ -40,7 +40,8 @@ package cluster
 //	GET /readyz
 //	    → asked of every relevant shard and merged.
 //	/v1/audit
-//	    → 404: the audit chain is a per-shard artifact, query shards.
+//	    → not routed, so 404 in the envelope like any unknown path:
+//	      the audit chain is a per-shard artifact, query shards.
 
 import (
 	"bytes"
@@ -91,13 +92,9 @@ func (c *Coordinator) routes() http.Handler {
 	mux.HandleFunc("GET /v1/jobs", c.handleJobList)
 	mux.HandleFunc("GET /v1/jobs/{id}", c.handleJobByID)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", c.handleJobByID)
-	mux.HandleFunc("GET /v1/audit", func(w http.ResponseWriter, r *http.Request) {
-		apiclient.WriteError(w, http.StatusNotFound,
-			"audit logs are per-shard; query the shards directly", apiclient.RequestID(r))
-	})
 	mux.HandleFunc("GET /v1/cluster/ring", c.handleRing)
 	mux.HandleFunc("POST /v1/cluster/rebalance", c.handleRebalance)
-	return mux
+	return apiclient.EnvelopeUnrouted(mux)
 }
 
 // readBody buffers the request body under MaxUploadBytes, answering

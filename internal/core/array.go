@@ -31,6 +31,15 @@ type ChannelArray struct {
 // ErrTooWide reports a row pair exceeding the array's capacity.
 var ErrTooWide = fmt.Errorf("core: input exceeds array capacity")
 
+// CheckCells fails with ErrTooWide when the row pair a, b needs more
+// than cells cells: the paper's array for it has k1+k2+1 (BuildCells).
+func CheckCells(a, b rle.Row, cells int) error {
+	if need := len(a) + len(b) + 1; need > cells {
+		return fmt.Errorf("%w: need %d cells, have %d", ErrTooWide, need, cells)
+	}
+	return nil
+}
+
 type arrayOp int
 
 const (
@@ -157,9 +166,8 @@ func (a *ChannelArray) runRow(rowA, rowB rle.Row) (int, error) {
 	if err := validateInputs(rowA, rowB); err != nil {
 		return 0, err
 	}
-	need := len(rowA) + len(rowB) + 1
-	if need > a.n {
-		return 0, fmt.Errorf("%w: need %d cells, have %d", ErrTooWide, need, a.n)
+	if err := CheckCells(rowA, rowB, a.n); err != nil {
+		return 0, err
 	}
 	// Load phase.
 	for i := 0; i < a.n; i++ {

@@ -235,28 +235,26 @@ func (panicEngine) Name() string { return "panicky" }
 
 func (panicEngine) XORRow(a, b rle.Row) (Result, error) { panic("boom") }
 
+// TestXORRowsPanicBecomesRowError: a panicking engine, or a malformed
+// image (fewer rows than its height) panicking inside the row loop
+// under a real engine, fails the call naming the row instead of
+// crashing the process.
 func TestXORRowsPanicBecomesRowError(t *testing.T) {
 	a := rowImage(64)
-	for _, workers := range []int{1, 4} {
-		_, err := XORRows(context.Background(), a, a, workers, func(int) Engine { return panicEngine{} }, discard)
-		if err == nil || err.Error() != "row 0: engine panicky panicked: boom" {
-			t.Errorf("workers=%d: err = %v, want row 0's panic", workers, err)
-		}
-	}
-}
-
-// TestArrayPoolPanicBecomesRowError: a malformed image (fewer rows
-// than its height) panics inside the row loop; the pool must report
-// the row instead of crashing the process.
-func TestArrayPoolPanicBecomesRowError(t *testing.T) {
-	for _, n := range []int{1, 4} {
-		pool := NewArrayPool(n, 16)
-		a := rowImage(8)
-		short := &rle.Image{Width: a.Width, Height: a.Height, Rows: a.Rows[:5]}
-		_, _, err := pool.XORImage(a, short)
-		pool.Close()
-		if err == nil || !strings.Contains(err.Error(), "row 5:") || !strings.Contains(err.Error(), "panicked") {
-			t.Errorf("%d arrays: err = %v, want a panic naming row 5", n, err)
+	short := &rle.Image{Width: a.Width, Height: a.Height, Rows: a.Rows[:5]}
+	for _, tc := range []struct {
+		b    *rle.Image
+		eng  Engine
+		want string
+	}{
+		{a, panicEngine{}, "row 0: engine panicky panicked: boom"},
+		{short, Lockstep{}, "row 5: engine systolic-lockstep panicked: "},
+	} {
+		for _, workers := range []int{1, 4} {
+			_, err := XORRows(context.Background(), a, tc.b, workers, func(int) Engine { return tc.eng }, discard)
+			if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+				t.Errorf("%s, workers=%d: err = %v, want %q…", tc.eng.Name(), workers, err, tc.want)
+			}
 		}
 	}
 }

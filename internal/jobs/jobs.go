@@ -185,8 +185,8 @@ type Spec struct {
 	// Scans are compared against the reference in index order of
 	// submission (completion order is unspecified).
 	Scans []*rle.Image
-	// Engine selects the row-difference engine by registry name
-	// (sysrle.EngineNames); "" means sysrle.DefaultEngine, the
+	// Engine selects the row-difference engine by served name
+	// (sysrle.NewServedEngine); "" means sysrle.DefaultEngine, the
 	// hybrid planner. Inspect jobs only.
 	Engine string
 	// MinDefectArea and MaxAlignShift forward to inspect.Inspector.
@@ -421,23 +421,6 @@ func (m *Manager) Close() {
 	m.wg.Wait()
 }
 
-// engineFor builds the engine one worker uses for one job. Named
-// engines resolve through the facade registry (the single source of
-// engine names shared with the HTTP service and the CLI tools), ""
-// meaning the registry default. Engines that export their own
-// telemetry (the planner's per-decision route counters) get reg
-// attached when it is non-nil.
-func engineFor(name string, reg *telemetry.Registry) (core.Engine, error) {
-	eng, err := sysrle.NewEngineByName(name)
-	if err != nil {
-		return nil, fmt.Errorf("jobs: %w", err)
-	}
-	if m, ok := eng.(interface{ AttachMetrics(*telemetry.Registry) }); ok && reg != nil {
-		m.AttachMetrics(reg)
-	}
-	return eng, nil
-}
-
 // Submit validates the spec, resolves the reference, and enqueues one
 // task per scan. It returns the job id immediately; admission is
 // all-or-nothing — if the queue cannot take every scan the job is
@@ -449,8 +432,8 @@ func (m *Manager) Submit(spec Spec) (string, error) {
 	}
 	switch spec.Type {
 	case "", TypeInspect:
-		if _, err := engineFor(spec.Engine, nil); err != nil {
-			return "", err
+		if _, err := sysrle.NewServedEngine(spec.Engine, nil); err != nil {
+			return "", fmt.Errorf("jobs: %w", err)
 		}
 		if (spec.RefID == "") == (spec.Ref == nil) {
 			return "", errors.New("jobs: exactly one of RefID and Ref must be set")
@@ -657,12 +640,9 @@ func (m *Manager) runTask(t task, engines map[string]core.Engine) {
 		eng, ok = engines[j.spec.Engine]
 		if !ok {
 			var err error
-			eng, err = engineFor(j.spec.Engine, m.cfg.Registry)
-			// Submit validated the name, but never hand a nil engine to
-			// the inspector: fail the scan, not the worker.
-			if err == nil && eng == nil {
-				err = fmt.Errorf("jobs: engine %q resolved to nil", j.spec.Engine)
-			}
+			// Submit validated the name, but a journaled job may name
+			// an engine no longer served: fail the scan, not the worker.
+			eng, err = sysrle.NewServedEngine(j.spec.Engine, m.cfg.Registry)
 			if err != nil {
 				m.record(j, ScanResult{Index: t.scan, Error: err.Error()}, false)
 				return

@@ -3,6 +3,7 @@ package jobs
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -270,7 +271,13 @@ func TestEngineSelection(t *testing.T) {
 	m := New(Config{Workers: 2, Retention: -1})
 	defer m.Close()
 	var base Status
-	for i, engine := range []string{"", "planner", "lockstep", "sequential", "sparse", "bus"} {
+	for _, engine := range []string{"channel", "sparse", "bus", "verified"} {
+		if _, err := m.Submit(Spec{Ref: ref, Scans: []*rle.Image{scan}, Engine: engine}); err == nil ||
+			!strings.Contains(err.Error(), "unserved engine") {
+			t.Errorf("%q: Submit err = %v, want unserved", engine, err)
+		}
+	}
+	for i, engine := range []string{"", "planner", "lockstep", "sequential", "packed"} {
 		id, err := m.Submit(Spec{Ref: ref, Scans: []*rle.Image{scan}, Engine: engine})
 		if err != nil {
 			t.Fatalf("%q: %v", engine, err)

@@ -168,15 +168,6 @@ func WithMetrics(reg *telemetry.Registry) Option {
 	}
 }
 
-// AttachMetrics attaches a telemetry registry after construction —
-// the hook the HTTP service and the job runner use to surface
-// decision counters from engines built through the name registry
-// (whose constructors take no arguments). Safe to call more than
-// once; the latest registry wins.
-func (p *Planner) AttachMetrics(reg *telemetry.Registry) {
-	WithMetrics(reg)(p)
-}
-
 // New returns a hybrid planner engine with the calibrated default
 // cost model and 25% hysteresis.
 func New(opts ...Option) *Planner {

@@ -2,10 +2,13 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 
 	"sysrle"
@@ -207,6 +210,69 @@ func wantHeaders(t *testing.T, hdr http.Header, engine string, iters, maxIters, 
 	} {
 		if got := hdr.Get(name); got != want {
 			t.Errorf("%s engine: %s = %q, want %q", engine, name, got, want)
+		}
+	}
+}
+
+// TestServedLockstepCellCap: a row pair needing more than
+// sysrle.MaxServedCells cells is refused before the engine runs on
+// every surface that serves engine=lockstep: 422 on /v1/diff and
+// /v1/inspect, a failed scan in a job.
+func TestServedLockstepCellCap(t *testing.T) {
+	srv, _ := newRegistryServer(t, Config{})
+	// One 4096-wide row pair of alternating pixels needs 4097 cells.
+	wide, err := perf.GeneratePair("worst", 4096, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, files := range map[string]map[string]*rle.Image{
+		"/v1/diff?engine=lockstep":    {"a": wide.A, "b": wide.B},
+		"/v1/inspect?engine=lockstep": {"ref": wide.A, "scan": wide.B},
+	} {
+		body, ctype := multipartBody(t, "rleb", files)
+		resp, err := http.Post(srv.URL+path, ctype, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(raw), "need 4097 cells, have 1024") {
+			t.Errorf("%s: status %d %s, want 422 naming the cells", path, resp.StatusCode, raw)
+		}
+	}
+	form, ctype := jobForm(t, []*rle.Image{wide.B}, map[string]*rle.Image{"ref": wide.A})
+	resp, err := http.Post(srv.URL+"/v1/jobs?engine=lockstep", ctype, form)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepted jobs.Status
+	decodeJSON(t, resp, &accepted)
+	st := pollJob(t, srv.URL, accepted.ID)
+	if st.State != jobs.StateFailed || !strings.Contains(st.Results[0].Error, "exceeds array capacity") {
+		t.Errorf("job: state %s, results %+v; want a failed scan naming the capacity", st.State, st.Results)
+	}
+}
+
+// TestCanceledRequestRunsNoRows: a request whose context is already
+// canceled (the client left, or the timeout middleware answered)
+// stops before its rows, and /v1/inspect answers as /v1/diff does.
+func TestCanceledRequestRunsNoRows(t *testing.T) {
+	s := NewWith(Config{RequestTimeout: -1})
+	t.Cleanup(s.Close)
+	ref, scan, _ := testBoards(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for path, files := range map[string]map[string]*rle.Image{
+		"/v1/diff":    {"a": ref, "b": scan},
+		"/v1/inspect": {"ref": ref, "scan": scan},
+	} {
+		body, ctype := multipartBody(t, "rleb", files)
+		req := httptest.NewRequest(http.MethodPost, path, body).WithContext(ctx)
+		req.Header.Set("Content-Type", ctype)
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		if rec.Code != http.StatusUnprocessableEntity || !strings.Contains(rec.Body.String(), "context canceled") {
+			t.Errorf("%s: status %d %s, want 422 context canceled", path, rec.Code, rec.Body)
 		}
 	}
 }

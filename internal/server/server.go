@@ -19,11 +19,14 @@
 //	                            gauge, per-engine iteration totals.
 //	GET  /debug/vars          → the same registry as expvar-style JSON.
 //	POST /v1/diff             → multipart form, files "a" and "b";
-//	                            query: engine=<name> (any registry
-//	                            engine, see sysrle.EngineNames:
-//	                            planner (default)|lockstep|channel|
-//	                            sequential|sparse|bus|verified|packed;
-//	                            any other name is a 400),
+//	                            query: engine=<name> (a served
+//	                            engine, see sysrle.NewServedEngine:
+//	                            planner (default)|sequential|packed|
+//	                            lockstep; any other name, the other
+//	                            registry simulators included, is a
+//	                            400; a lockstep row pair needing more
+//	                            than sysrle.MaxServedCells cells is a
+//	                            422),
 //	                            format=pbm|pbm-plain|png|rlet|rleb.
 //	                            Response body is the encoded difference image;
 //	                            X-Sysrle-* headers carry engine statistics
@@ -95,17 +98,22 @@
 // changes the cost, which /v1/diff reports in X-Sysrle-Iterations-
 // Total/-Max-Row and X-Sysrle-Cells-Total/-Max-Row (and /v1/inspect
 // and job results in their iteration fields). An iteration is the
-// unit of work of the machine that ran the row. For the systolic
-// engines (engine=lockstep and the other simulators) it is one
-// systolic iteration, the quantity the paper's Figure 5 and Table 1
-// report, and cells is the array size. For the sequential merge it is
-// one merge step. For the default planner it is a merge step on a row
-// routed to the RLE merge and a 64-pixel word on a row routed to the
-// packed XOR, and cells is 0: there is no array. Which route a row
-// takes depends on the previous row's route (hysteresis), so the
-// planner's counts are comparable only across requests that see the
-// same rows in the same order. Ask for engine=lockstep to measure the
-// paper's algorithm.
+// unit of work of the machine that ran the row. For engine=lockstep
+// it is one systolic iteration, the quantity the paper's Figure 5 and
+// Table 1 report, and cells is the array size. For the sequential
+// merge it is one merge step. For the default planner it is a merge
+// step on a row routed to the RLE merge and a 64-pixel word on a row
+// routed to the packed XOR, and cells is 0: there is no array. Which
+// route a row takes depends on the previous row's route
+// (hysteresis), so the planner's counts are comparable only across
+// requests that see the same rows in the same order. Ask for engine=lockstep to measure the
+// paper's algorithm. The service runs the lockstep simulation on a
+// fixed array of sysrle.MaxServedCells cells, as the paper's hardware
+// has a fixed number: a row pair needing more fails with
+// core.ErrTooWide (422 on /v1/diff and /v1/inspect, a failed scan in
+// a job) before any cell is built. The other simulators (channel,
+// sparse, bus, verified) are not served; benchtab and the oracle run
+// them.
 //
 // # Durability
 //
@@ -418,7 +426,7 @@ func Open(cfg Config) (*Server, error) {
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobDelete)
 	mux.HandleFunc("GET /v1/audit", s.handleAuditBatches)
 	mux.HandleFunc("GET /v1/audit/{id}/proof", s.handleAuditProof)
-	s.handler = s.wrap(mux)
+	s.handler = s.wrap(apiclient.EnvelopeUnrouted(mux))
 	return s, nil
 }
 
@@ -449,23 +457,6 @@ func (s *Server) recordEngine(engine string, totalIterations, rowsDiffering int)
 	s.reg.Counter("sysrle_engine_iterations_total", eng).Add(int64(totalIterations))
 	s.reg.Counter("sysrle_engine_rows_differing_total", eng).Add(int64(rowsDiffering))
 	s.reg.Counter("sysrle_engine_runs_total", eng).Inc()
-}
-
-// engineFromQuery resolves the engine= query parameter through the
-// facade registry — the single source of engine names shared with the
-// job runner and the CLI tools. Each request gets a fresh engine, so
-// stateful engines (planner, packed, verified) are never shared across
-// requests. Engines that export their own telemetry (the planner's
-// per-decision route counters) get the service registry attached.
-func (s *Server) engineFromQuery(r *http.Request) (sysrle.Engine, error) {
-	eng, err := sysrle.NewEngineByName(r.URL.Query().Get("engine"))
-	if err != nil {
-		return nil, err
-	}
-	if m, ok := eng.(interface{ AttachMetrics(*telemetry.Registry) }); ok {
-		m.AttachMetrics(s.reg)
-	}
-	return eng, nil
 }
 
 func formImage(r *http.Request, field string) (*rle.Image, error) {
@@ -579,7 +570,7 @@ func diffSource(r *http.Request, field string) (sysrle.RowSource, error) {
 // as the engine produces it, so neither the upload nor the difference
 // is built as an image.
 func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
-	engine, err := s.engineFromQuery(r)
+	engine, err := sysrle.NewServedEngine(r.URL.Query().Get("engine"), s.reg)
 	if err != nil {
 		s.httpError(w, r, http.StatusBadRequest, err)
 		return
@@ -656,7 +647,7 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleInspect(w http.ResponseWriter, r *http.Request) {
-	engine, err := s.engineFromQuery(r)
+	engine, err := sysrle.NewServedEngine(r.URL.Query().Get("engine"), s.reg)
 	if err != nil {
 		s.httpError(w, r, http.StatusBadRequest, err)
 		return
@@ -671,7 +662,7 @@ func (s *Server) handleInspect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ins := &inspect.Inspector{Engine: engine, MinDefectArea: minArea, MaxAlignShift: maxAlign}
-	rep, err := ins.Compare(ref, scan)
+	rep, err := ins.CompareContext(r.Context(), ref, scan)
 	if err != nil {
 		s.httpError(w, r, http.StatusUnprocessableEntity, err)
 		return

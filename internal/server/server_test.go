@@ -38,9 +38,12 @@ func multipartBody(t *testing.T, format string, files map[string]*rle.Image) (io
 	return &buf, mw.FormDataContentType()
 }
 
-// errorResponse decodes the message of the v1 error envelope.
+// errorResponse decodes the v1 error envelope.
 type errorResponse struct {
-	Error struct{ Message string }
+	Error struct {
+		Code, Message string
+		RequestID     string `json:"request_id"`
+	}
 }
 
 func testBoards(t *testing.T) (*rle.Image, *rle.Image, int) {
@@ -118,6 +121,7 @@ func TestDiffEndpointErrors(t *testing.T) {
 	}{
 		{"bad engine", "/v1/diff?engine=quantum", map[string]*rle.Image{"a": ref, "b": scan}, http.StatusBadRequest},
 		{"removed engine", "/v1/diff?engine=stream", map[string]*rle.Image{"a": ref, "b": scan}, http.StatusBadRequest},
+		{"unserved engine", "/v1/diff?engine=channel", map[string]*rle.Image{"a": ref, "b": scan}, http.StatusBadRequest},
 		{"bad format", "/v1/diff?format=gif", map[string]*rle.Image{"a": ref, "b": scan}, http.StatusBadRequest},
 		{"missing file", "/v1/diff", map[string]*rle.Image{"a": ref}, http.StatusBadRequest},
 		{"size mismatch", "/v1/diff", map[string]*rle.Image{"a": ref, "b": rle.NewImage(4, 4)}, http.StatusUnprocessableEntity},
@@ -416,16 +420,30 @@ func TestResponseCarriesRequestID(t *testing.T) {
 	}
 }
 
+// TestMethodRouting: a wrong method gets 405 with the Allow header and
+// an unknown path 404, both in the error envelope.
 func TestMethodRouting(t *testing.T) {
 	srv := httptest.NewServer(New())
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/v1/diff")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /v1/diff status %d", resp.StatusCode)
+	for _, c := range []struct {
+		path, allow, code string
+		status            int
+	}{
+		{"/v1/diff", "POST", "http_405", http.StatusMethodNotAllowed},
+		{"/v1/nope", "", apiclient.CodeNotFound, http.StatusNotFound},
+	} {
+		resp, err := http.Get(srv.URL + c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var e errorResponse
+		if resp.StatusCode != c.status || resp.Header.Get("Allow") != c.allow ||
+			json.Unmarshal(raw, &e) != nil || e.Error.Code != c.code || e.Error.RequestID != resp.Header.Get("X-Request-Id") {
+			t.Errorf("GET %s: status %d, Allow %q, body %s; want %d, Allow %q, code %s",
+				c.path, resp.StatusCode, resp.Header.Get("Allow"), raw, c.status, c.allow, c.code)
+		}
 	}
 }
 
@@ -467,7 +485,7 @@ func TestInspectBadAlign(t *testing.T) {
 	}
 }
 
-// TestDiffPlannerExportsDecisionMetrics pins the AttachMetrics wiring:
+// TestDiffPlannerExportsDecisionMetrics pins the planner metrics wiring:
 // a diff served by the hybrid planner must surface its per-row routing
 // counters in the service registry, not keep them private to the
 // request-scoped engine.

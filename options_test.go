@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"sysrle/internal/core"
+	"sysrle/internal/systolic"
 	"sysrle/internal/workload"
 )
 
@@ -209,6 +211,60 @@ func TestEngineRegistry(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "quantum") || !strings.Contains(err.Error(), "lockstep") {
 		t.Errorf("unhelpful error: %v", err)
+	}
+}
+
+// TestNewServedEngine: the service resolves exactly the served names,
+// the empty name to the default, and refuses the other simulators
+// with an error that names the served set.
+func TestNewServedEngine(t *testing.T) {
+	for _, name := range append(slices.Clone(servedEngines), "") {
+		eng, err := NewServedEngine(name, nil)
+		if err != nil {
+			t.Fatalf("%q: %v", name, err)
+		}
+		want, _ := NewEngineByName(name)
+		if eng.Name() != want.Name() {
+			t.Errorf("%q: served %s, registry %s", name, eng.Name(), want.Name())
+		}
+	}
+	for _, name := range []string{"channel", "sparse", "bus", "verified", "quantum"} {
+		_, err := NewServedEngine(name, nil)
+		if err == nil || !strings.Contains(err.Error(), "planner, sequential, packed, lockstep") {
+			t.Errorf("%q: err = %v, want a refusal naming the served set", name, err)
+		}
+	}
+}
+
+// TestServedLockstepCellCap: the served lockstep refuses a row pair
+// needing more than MaxServedCells cells with core.ErrTooWide before
+// its array runs — zero iterations, no snapshot — and runs one that
+// fits exactly.
+func TestServedLockstepCellCap(t *testing.T) {
+	alternating := func(width int) (a, b Row) {
+		for x := 0; x+1 < width; x += 2 {
+			a = append(a, Run{Start: x, Length: 1})
+			b = append(b, Run{Start: x + 1, Length: 1})
+		}
+		return a, b
+	}
+	snapshots := 0
+	eng := servedLockstep{core.Lockstep{Observer: func(int, systolic.Phase, []core.Cell) { snapshots++ }}}
+	a, b := alternating(4096)
+	for _, res := range []func() (Result, error){
+		func() (Result, error) { return eng.XORRow(a, b) },
+		func() (Result, error) { return eng.XORRowAppend(nil, a, b) },
+	} {
+		r, err := res()
+		if !errors.Is(err, core.ErrTooWide) || r.Iterations != 0 || snapshots != 0 {
+			t.Errorf("over the cap: err %v, %d iterations, %d snapshots; want ErrTooWide, 0, 0", err, r.Iterations, snapshots)
+		}
+	}
+	a, b = alternating(MaxServedCells - 1)
+	a = append(a, Run{Start: MaxServedCells - 2, Length: 1}) // 1023 runs, 1024 cells
+	r, err := eng.XORRow(a, b)
+	if err != nil || r.Cells != MaxServedCells || snapshots == 0 {
+		t.Errorf("at the cap: err %v, %d cells, %d snapshots", err, r.Cells, snapshots)
 	}
 }
 

@@ -2,11 +2,13 @@ package sysrle
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"sysrle/internal/broadcast"
 	"sysrle/internal/core"
 	"sysrle/internal/planner"
+	"sysrle/internal/telemetry"
 )
 
 // EngineInfo is one entry of the engine registry: a stable name, a
@@ -17,9 +19,10 @@ type EngineInfo struct {
 	New         func() Engine
 }
 
-// engineRegistry is the single source of truth for engine names —
-// the HTTP service, the job runner and every command resolve the
-// engine= parameter/flag through it instead of hand-rolled switches.
+// engineRegistry is the single source of truth for engine names:
+// every command resolves its -engine flag through it, and the HTTP
+// service and the job runner resolve engine= through NewServedEngine,
+// which serves a subset of it.
 var engineRegistry = []EngineInfo{
 	{
 		Name:        "lockstep",
@@ -99,4 +102,57 @@ func NewEngineByName(name string) (Engine, error) {
 		}
 	}
 	return nil, fmt.Errorf("sysrle: unknown engine %q (have %s)", name, strings.Join(EngineNames(), ", "))
+}
+
+// servedEngines are the registry names the /v1 service runs: the
+// kernels, plus lockstep on a fixed array. The other simulators cost
+// far more per row (channel starts a goroutine per cell) and stay
+// library, benchmark and oracle tools.
+var servedEngines = []string{"planner", "sequential", "packed", "lockstep"}
+
+// MaxServedCells is the array size of the served lockstep engine. A
+// simulated lockstep row costs O(cells × iterations), which for the
+// worst row pair grows with the square of its width, so, like the
+// paper's hardware, the served array has a fixed number of cells: a
+// row pair that needs more fails with core.ErrTooWide before any cell
+// is built.
+const MaxServedCells = 1024
+
+// NewServedEngine constructs a fresh engine for one request or job by
+// registry name, the empty name meaning DefaultEngine. Only the served
+// engines are accepted: planner, sequential, packed, and lockstep
+// capped at MaxServedCells. The planner counts its routing decisions
+// in reg when reg is non-nil.
+func NewServedEngine(name string, reg *telemetry.Registry) (Engine, error) {
+	if name == "" {
+		name = DefaultEngine
+	}
+	switch {
+	case name == "planner":
+		return planner.New(planner.WithMetrics(reg)), nil
+	case name == "lockstep":
+		return servedLockstep{}, nil
+	case slices.Contains(servedEngines, name):
+		return NewEngineByName(name)
+	}
+	what := "unknown"
+	if slices.Contains(EngineNames(), name) {
+		what = "unserved"
+	}
+	return nil, fmt.Errorf("sysrle: %s engine %q (served: %s)", what, name, strings.Join(servedEngines, ", "))
+}
+
+// servedLockstep is the lockstep engine on an array of MaxServedCells
+// cells.
+type servedLockstep struct{ core.Lockstep }
+
+// XORRow implements Engine through the capped append path.
+func (e servedLockstep) XORRow(a, b Row) (Result, error) { return e.XORRowAppend(nil, a, b) }
+
+// XORRowAppend implements core.AppendEngine.
+func (e servedLockstep) XORRowAppend(dst, a, b Row) (Result, error) {
+	if err := core.CheckCells(a, b, MaxServedCells); err != nil {
+		return Result{}, err
+	}
+	return e.Lockstep.XORRowAppend(dst, a, b)
 }
