@@ -243,18 +243,21 @@ func TestXORRowsPanicBecomesRowError(t *testing.T) {
 	a := rowImage(64)
 	short := &rle.Image{Width: a.Width, Height: a.Height, Rows: a.Rows[:5]}
 	for _, tc := range []struct {
+		name string
 		b    *rle.Image
 		eng  Engine
 		want string
 	}{
-		{a, panicEngine{}, "row 0: engine panicky panicked: boom"},
-		{short, Lockstep{}, "row 5: engine systolic-lockstep panicked: "},
+		{"engine-panics", a, panicEngine{}, "row 0: engine panicky panicked: boom"},
+		{"short-image", short, Lockstep{}, "row 5: engine systolic-lockstep panicked: "},
 	} {
-		for _, workers := range []int{1, 4} {
-			_, err := XORRows(context.Background(), a, tc.b, workers, func(int) Engine { return tc.eng }, discard)
-			if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
-				t.Errorf("%s, workers=%d: err = %v, want %q…", tc.eng.Name(), workers, err, tc.want)
+		t.Run(tc.name, func(t *testing.T) {
+			for _, workers := range []int{1, 4} {
+				_, err := XORRows(context.Background(), a, tc.b, workers, func(int) Engine { return tc.eng }, discard)
+				if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+					t.Errorf("%s, workers=%d: err = %v, want %q…", tc.eng.Name(), workers, err, tc.want)
+				}
 			}
-		}
+		})
 	}
 }

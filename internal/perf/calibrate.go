@@ -88,8 +88,13 @@ func measureRowNs(eng core.Engine, a, b rle.Row) float64 {
 // ns per row — the multi-row form keeps routing state (the planner's
 // hysteresis) in its production regime.
 func measureRowsNs(eng core.Engine, rowsA, rowsB []rle.Row) float64 {
+	return bestNs(rowPass(eng, rowsA, rowsB)) / float64(len(rowsA))
+}
+
+// rowPass returns one in-order append-path pass of eng over a row set.
+func rowPass(eng core.Engine, rowsA, rowsB []rle.Row) func() {
 	var scratch rle.Row
-	return bestNs(func() {
+	return func() {
 		for y := range rowsA {
 			r, err := core.XORRowAppend(eng, scratch[:0], rowsA[y], rowsB[y])
 			if err != nil {
@@ -97,36 +102,46 @@ func measureRowsNs(eng core.Engine, rowsA, rowsB []rle.Row) float64 {
 			}
 			scratch = r.Row
 		}
-	}) / float64(len(rowsA))
+	}
 }
 
 // bestNs times one warm call of once: minimum of nine repetitions,
 // each long enough to amortise timer granularity and scheduler
 // preemptions.
 func bestNs(once func()) float64 {
-	once() // warm buffers
-	// Grow the batch until one repetition takes ≥ 1ms.
-	iters := 1
-	for {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			once()
+	return bestNsEach(once)[0]
+}
+
+// bestNsEach is bestNs for several calls, their repetitions
+// interleaved: load from other processes then falls on every call
+// alike, so a comparison between them holds up under it.
+func bestNsEach(calls ...func()) []float64 {
+	iters := make([]int, len(calls))
+	for i, once := range calls {
+		once() // warm buffers
+		// Grow the batch until one repetition takes ≥ 1ms.
+		iters[i] = 1
+		for timeBatch(once, iters[i]) < time.Millisecond {
+			iters[i] *= 4
 		}
-		if elapsed := time.Since(start); elapsed >= time.Millisecond {
-			break
-		}
-		iters *= 4
 	}
-	best := 0.0
+	best := make([]float64, len(calls))
 	for rep := 0; rep < 9; rep++ {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			once()
-		}
-		ns := float64(time.Since(start).Nanoseconds()) / float64(iters)
-		if rep == 0 || ns < best {
-			best = ns
+		for i, once := range calls {
+			ns := float64(timeBatch(once, iters[i]).Nanoseconds()) / float64(iters[i])
+			if rep == 0 || ns < best[i] {
+				best[i] = ns
+			}
 		}
 	}
 	return best
+}
+
+// timeBatch times n calls of once.
+func timeBatch(once func(), n int) time.Duration {
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		once()
+	}
+	return time.Since(start)
 }

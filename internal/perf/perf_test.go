@@ -182,7 +182,9 @@ func TestPlannerSweepZeroAllocs(t *testing.T) {
 // routing). Wall-clock gates are retried a few times so one scheduler
 // hiccup doesn't fail CI; each attempt already takes the minimum of
 // repeated timings, over a full in-order row pass so hysteresis runs
-// in its production regime.
+// in its production regime. The three engines' repetitions are
+// interleaved, so load from other processes (go test runs packages
+// side by side) slows them alike instead of skewing the ratio.
 func TestPlannerSmokeCompetitive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock gate in -short mode")
@@ -190,25 +192,29 @@ func TestPlannerSmokeCompetitive(t *testing.T) {
 	if raceEnabled {
 		t.Skip("wall-clock comparisons are meaningless under -race")
 	}
-	const width, attempts = 2000, 4
-	measure := func(engine string, pair Pair) float64 {
-		eng, err := sysrle.NewEngineByName(engine)
-		if err != nil {
-			t.Fatal(err)
+	const width, height, attempts = 2000, 16, 4
+	// measure returns ns/row for planner, sequential and packed.
+	measure := func(pair Pair) (float64, float64, float64) {
+		var passes []func()
+		for _, name := range []string{"planner", "sequential", "packed"} {
+			eng, err := sysrle.NewEngineByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			passes = append(passes, rowPass(eng, pair.A.Rows, pair.B.Rows))
 		}
-		return measureRowsNs(eng, pair.A.Rows, pair.B.Rows)
+		ns := bestNsEach(passes...)
+		return ns[0] / height, ns[1] / height, ns[2] / height
 	}
 	for _, wl := range []string{"sweep-sparse", "sweep-cross", "sweep-dense"} {
-		pair, err := GeneratePair(wl, width, 16, 1999)
+		pair, err := GeneratePair(wl, width, height, 1999)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var planner, seq, packed float64
 		ok := false
 		for try := 0; try < attempts && !ok; try++ {
-			planner = measure("planner", pair)
-			seq = measure("sequential", pair)
-			packed = measure("packed", pair)
+			planner, seq, packed = measure(pair)
 			best := seq
 			if packed < best {
 				best = packed

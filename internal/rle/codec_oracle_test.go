@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -238,6 +239,12 @@ func TestRowDecoderSequential(t *testing.T) {
 // TestDecodeForgedHeaderAllocation: however large the dimensions a
 // header claims, decoding allocates at most 8 bytes per input byte
 // plus a constant.
+//
+// Each input is decoded once to warm up, then measured as the fewest
+// bytes over five calls. A GC empties fmt's printer cache, and the
+// error that refills it costs about 600 bytes that depend on when
+// the GC ran, not on the header. An allocation sized from the header
+// happens on every call, so the minimum still shows it.
 func TestDecodeForgedHeaderAllocation(t *testing.T) {
 	for _, in := range [][]byte{
 		forgedBinaryHeader(64, 1<<30),
@@ -245,14 +252,18 @@ func TestDecodeForgedHeaderAllocation(t *testing.T) {
 		forgedBinaryHeader(1<<20, 2, 0xff, 0xff, 0x3f),
 		forgedBinaryHeader(1<<20, 3, 0, 0),
 	} {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, err := DecodeBinary(in)
-		runtime.ReadMemStats(&after)
-		if err == nil {
+		if _, err := DecodeBinary(in); err == nil {
 			t.Fatalf("%x: accepted", in)
 		}
-		if n := after.TotalAlloc - before.TotalAlloc; n > 8*uint64(len(in))+1024 {
+		n := uint64(math.MaxUint64)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			DecodeBinary(in)
+			runtime.ReadMemStats(&after)
+			n = min(n, after.TotalAlloc-before.TotalAlloc)
+		}
+		if n > 8*uint64(len(in))+1024 {
 			t.Errorf("%x: decoding allocated %d bytes for %d input bytes", in, n, len(in))
 		}
 	}
