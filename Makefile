@@ -9,10 +9,12 @@ all: build vet test
 # Mirrors .github/workflows/ci.yml.
 ci:
 	$(GO) vet ./...
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -fuzz FuzzReadBinary -fuzztime 15s ./internal/rle/
 	$(GO) test -fuzz FuzzDecodeBinary -fuzztime 15s ./internal/rle/
+	$(GO) test -fuzz FuzzRowDecoderRowsValid -fuzztime 15s ./internal/rle/
 	$(GO) test -fuzz FuzzReadText -fuzztime 15s ./internal/rle/
 	$(GO) test -fuzz FuzzReadPBM -fuzztime 15s ./internal/bitmap/
 	$(GO) test -fuzz FuzzUnionOfTranslates -fuzztime 15s ./internal/runmorph/
@@ -95,8 +97,8 @@ calibrate:
 # morphology competitiveness smokes: deterministic allocs/op
 # assertions over the hot paths, the sweep-endpoint wall-clock gate,
 # the sparse-A4 opening gate, the row-loop scheduling-overhead gate
-# and the streamed /v1/diff allocation gate (mirrors the ci.yml
-# perf-smoke job).
+# and the streamed /v1/diff allocation gate, ref-routed and inline
+# (mirrors the ci.yml perf-smoke job).
 perf-smoke:
 	$(GO) test -run 'AllocReduction|ZeroAllocs|StreamAllocs|PlannerSmoke|RunmorphSmoke|SchedulingOverhead' -v \
 		./internal/perf/ ./internal/core/ ./internal/planner/
@@ -118,6 +120,7 @@ cluster-smoke:
 fuzz:
 	$(GO) test -fuzz FuzzReadBinary -fuzztime 10s ./internal/rle/
 	$(GO) test -fuzz FuzzDecodeBinary -fuzztime 10s ./internal/rle/
+	$(GO) test -fuzz FuzzRowDecoderRowsValid -fuzztime 10s ./internal/rle/
 	$(GO) test -fuzz FuzzReadText -fuzztime 10s ./internal/rle/
 	$(GO) test -fuzz FuzzReadPBM -fuzztime 10s ./internal/bitmap/
 	$(GO) test -fuzz FuzzUnionOfTranslates -fuzztime 10s ./internal/runmorph/

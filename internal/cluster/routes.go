@@ -49,20 +49,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"mime"
-	"mime/multipart"
 	"net/http"
 	"sync"
 
 	"sysrle/internal/apiclient"
-	"sysrle/internal/imageio"
 	"sysrle/internal/jobs"
 	"sysrle/internal/refstore"
 )
-
-// multipartMemory is the in-memory threshold for the forms the
-// coordinator parses itself; larger parts spill to temp files.
-const multipartMemory = 8 << 20
 
 func (c *Coordinator) routes() http.Handler {
 	mux := http.NewServeMux()
@@ -115,26 +108,6 @@ func (c *Coordinator) readBody(w http.ResponseWriter, r *http.Request) ([]byte, 
 	return body, true
 }
 
-// formValue scans the buffered multipart body for a plain form field,
-// skipping file parts unread.
-func formValue(r *http.Request, field string) string {
-	_, params, err := mime.ParseMediaType(r.Header.Get("Content-Type"))
-	if err != nil {
-		return ""
-	}
-	mr := multipart.NewReader(r.Body, params["boundary"])
-	for {
-		p, err := mr.NextPart()
-		if err != nil {
-			return ""
-		}
-		if p.FormName() == field && p.FileName() == "" {
-			v, _ := io.ReadAll(io.LimitReader(p, 1<<10))
-			return string(v)
-		}
-	}
-}
-
 // forward relays a buffered call to one shard: the owners of ref when
 // it names one, else the next shard round-robin.
 func (c *Coordinator) forward(w http.ResponseWriter, r *http.Request, body []byte, ref string) {
@@ -185,7 +158,10 @@ func (c *Coordinator) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	ref := r.URL.Query().Get("ref")
 	if ref == "" {
-		ref = formValue(r, "ref")
+		if up, err := apiclient.ReadUpload(w, r, 0); err == nil {
+			ref = up.Value("ref")
+			up.Close()
+		}
 	}
 	c.forward(w, r, body, ref)
 }
@@ -223,7 +199,7 @@ func (c *Coordinator) handleRefPut(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	id, err := uploadID(r)
+	id, err := uploadID(w, r)
 	if err != nil {
 		c.forward(w, r, body, "")
 		return
@@ -266,17 +242,13 @@ func (c *Coordinator) handleRefPut(w http.ResponseWriter, r *http.Request) {
 
 // uploadID decodes the "image" upload of a reference put and returns
 // its content id.
-func uploadID(r *http.Request) (string, error) {
-	if err := r.ParseMultipartForm(multipartMemory); err != nil {
-		return "", err
-	}
-	defer r.MultipartForm.RemoveAll()
-	f, _, err := r.FormFile("image")
+func uploadID(w http.ResponseWriter, r *http.Request) (string, error) {
+	up, err := apiclient.ReadUpload(w, r, 0)
 	if err != nil {
 		return "", err
 	}
-	defer f.Close()
-	img, err := imageio.Read(f)
+	defer up.Close()
+	img, err := up.Image("image")
 	if err != nil {
 		return "", err
 	}

@@ -227,19 +227,28 @@ func TestLockstepAppendZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestSequentialAppendStepParity: what dst already holds changes
+// neither the merge-step count nor the appended bits — emission does
+// not take part in the paper's accounting.
 func TestSequentialAppendStepParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
-	var dst rle.Row
+	prefix := rle.Row{rle.Span(300, 301)}
+	total := 0
 	for trial := 0; trial < 200; trial++ {
 		a := randomCanonicalRow(rng, 256)
 		b := randomCanonicalRow(rng, 256)
-		_, wantSteps := SequentialXOR(a, b)
-		dst, _ = dst[:0], 0
-		var steps int
-		dst, steps = AppendSequentialXOR(dst, a, b)
+		fresh, wantSteps := AppendSequentialXOR(nil, a, b)
+		got, steps := AppendSequentialXOR(prefix.Clone(), a, b)
 		if steps != wantSteps {
-			t.Fatalf("AppendSequentialXOR steps %d != SequentialXOR %d", steps, wantSteps)
+			t.Fatalf("steps %d after a prefix, %d into nil", steps, wantSteps)
 		}
+		if !got[:1].Equal(prefix) || !got[1:].Equal(fresh) || !fresh.Canonical() {
+			t.Fatalf("appended %v after %v, want canonical %v", got[1:], got[:1], fresh)
+		}
+		total += steps
+	}
+	if total != 8147 {
+		t.Errorf("%d merge steps over the 200 pairs, want 8147", total)
 	}
 }
 

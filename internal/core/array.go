@@ -163,7 +163,7 @@ func (a *ChannelArray) runRow(rowA, rowB rle.Row) (int, error) {
 	if a.closed {
 		return 0, fmt.Errorf("core: array is closed")
 	}
-	if err := validateInputs(rowA, rowB); err != nil {
+	if err := ValidateRowPair(rowA, rowB); err != nil {
 		return 0, err
 	}
 	if err := CheckCells(rowA, rowB, a.n); err != nil {

@@ -49,6 +49,28 @@ type AppendEngine interface {
 	XORRowAppend(dst rle.Row, a, b rle.Row) (Result, error)
 }
 
+// ValidAppendEngine is an AppendEngine with an entry that skips the
+// operand check, for rows known to pass Row.Validate. XORRows takes it
+// when both operands are ValidSources; every served engine has one.
+type ValidAppendEngine interface {
+	AppendEngine
+	// XORRowAppendValid is XORRowAppend for operands valid by
+	// construction: on an invalid row its result is undefined.
+	XORRowAppendValid(dst rle.Row, a, b rle.Row) (Result, error)
+}
+
+// ValidSource is a RowSource whose rows pass Row.Validate by
+// construction, so checking them again per engine call repeats work
+// its maker already did. The RLEB decoder (rle.RowDecoder, whose
+// per-run bounds checks imply every invariant) and a stored reference
+// (refstore.Image, checked on Put and decoded from the store's own
+// bytes) are ValidSources; a caller-supplied *rle.Image is not.
+type ValidSource interface {
+	RowSource
+	// RowsValid does nothing; it marks the type.
+	RowsValid()
+}
+
 // OneMachine is implemented by engines that are one machine each:
 // they carry buffers or routing state from row to row, so concurrent
 // row workers must not share one. The method does nothing; it marks
@@ -181,7 +203,10 @@ func GatherAppend(cells []Cell, dst rle.Row) (rle.Row, error) {
 	return dst, nil
 }
 
-func validateInputs(a, b rle.Row) error {
+// ValidateRowPair checks both operands the way every engine checks
+// them, with the same error wording: "first operand: …" or "second
+// operand: …".
+func ValidateRowPair(a, b rle.Row) error {
 	if err := a.Validate(-1); err != nil {
 		return fmt.Errorf("first operand: %w", err)
 	}
@@ -190,11 +215,6 @@ func validateInputs(a, b rle.Row) error {
 	}
 	return nil
 }
-
-// ValidateRowPair checks both operands the way every engine in this
-// package does, with the same error wording — exported for engines
-// that live outside the package (the hybrid planner).
-func ValidateRowPair(a, b rle.Row) error { return validateInputs(a, b) }
 
 // Lockstep is the deterministic array-sweep engine — the reference
 // implementation and the one the benchmarks use.
@@ -214,7 +234,7 @@ func (e Lockstep) Name() string { return "systolic-lockstep" }
 
 // XORRow implements Engine.
 func (e Lockstep) XORRow(a, b rle.Row) (Result, error) {
-	if err := validateInputs(a, b); err != nil {
+	if err := ValidateRowPair(a, b); err != nil {
 		return Result{}, err
 	}
 	cells := BuildCells(a, b)
@@ -261,6 +281,14 @@ func (e Lockstep) XORRow(a, b rle.Row) (Result, error) {
 // package pool, so a warm steady state performs no per-row
 // allocations beyond growing dst.
 func (e Lockstep) XORRowAppend(dst rle.Row, a, b rle.Row) (Result, error) {
+	if err := ValidateRowPair(a, b); err != nil {
+		return Result{}, err
+	}
+	return e.XORRowAppendValid(dst, a, b)
+}
+
+// XORRowAppendValid implements ValidAppendEngine.
+func (e Lockstep) XORRowAppendValid(dst rle.Row, a, b rle.Row) (Result, error) {
 	if e.CheckInvariants || e.Observer != nil {
 		// Observed runs take the reference path; the pooled fast path
 		// exists for production sweeps, not instrumented ones.
@@ -270,9 +298,6 @@ func (e Lockstep) XORRowAppend(dst rle.Row, a, b rle.Row) (Result, error) {
 		}
 		res.Row = rle.AppendCanonical(dst, res.Row)
 		return res, nil
-	}
-	if err := validateInputs(a, b); err != nil {
-		return Result{}, err
 	}
 	s := lockstepPool.Get().(*lockstepScratch)
 	defer lockstepPool.Put(s)
@@ -302,7 +327,7 @@ func (e Channel) Name() string { return "systolic-channel" }
 
 // XORRow implements Engine.
 func (e Channel) XORRow(a, b rle.Row) (Result, error) {
-	if err := validateInputs(a, b); err != nil {
+	if err := ValidateRowPair(a, b); err != nil {
 		return Result{}, err
 	}
 	cells := BuildCells(a, b)

@@ -63,6 +63,10 @@ func PersistRows(img *rle.Image) func(w int) func(y int, row rle.Row) {
 // order-dependent sink all require. XORRows returns the engine counts
 // summed and maxed over every row.
 //
+// When both sources are ValidSources and engine(w) is a
+// ValidAppendEngine, rows go through its unchecked entry: the sources
+// already checked them. Otherwise every row pair is validated.
+//
 // ctx is checked before each row, and its error is returned unwrapped.
 // A row whose source or engine fails or panics (recovered once per
 // worker) stops every worker from starting a higher row, and the call
@@ -91,9 +95,15 @@ func XORRows(ctx context.Context, a, b RowSource, workers int, engine func(w int
 			rowErr = fmt.Errorf("row %d: %w", y, err)
 		}
 	}
+	_, validA := a.(ValidSource)
+	_, validB := b.(ValidSource)
 	done := ctx.Done()
 	run := func(w int) {
 		eng, emit := engine(w), sink(w)
+		var valid ValidAppendEngine
+		if validA && validB {
+			valid, _ = eng.(ValidAppendEngine)
+		}
 		var scratch, ra, rb rle.Row
 		var st ImageStats
 		y := 0
@@ -120,7 +130,9 @@ func XORRows(ctx context.Context, a, b RowSource, workers int, engine func(w int
 				var r Result
 				var err error
 				if ra, err = a.ReadRow(y, ra[:0]); err == nil {
-					if rb, err = b.ReadRow(y, rb[:0]); err == nil {
+					if rb, err = b.ReadRow(y, rb[:0]); err == nil && valid != nil {
+						r, err = valid.XORRowAppendValid(scratch[:0], ra, rb)
+					} else if err == nil {
 						r, err = XORRowAppend(eng, scratch[:0], ra, rb)
 					}
 				}

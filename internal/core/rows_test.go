@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"sysrle/internal/refstore"
 	"sysrle/internal/rle"
 )
 
@@ -259,5 +260,65 @@ func TestXORRowsPanicBecomesRowError(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// entryCounter is a ValidAppendEngine counting which entry XORRows
+// takes.
+type entryCounter struct {
+	Sequential
+	checked, unchecked int
+}
+
+func (e *entryCounter) XORRowAppend(dst, a, b rle.Row) (Result, error) {
+	e.checked++
+	return e.Sequential.XORRowAppend(dst, a, b)
+}
+
+func (e *entryCounter) XORRowAppendValid(dst, a, b rle.Row) (Result, error) {
+	e.unchecked++
+	return e.Sequential.XORRowAppendValid(dst, a, b)
+}
+
+// TestXORRowsTrustsOnlyValidSources: the unchecked entry is taken only
+// when both operands are ValidSources — the RLEB decoder and a stored
+// reference — and never for a caller's *rle.Image.
+func TestXORRowsTrustsOnlyValidSources(t *testing.T) {
+	img := randomTestImage(rand.New(rand.NewSource(1403)), 64, 5)
+	decoder := func() RowSource {
+		d, err := rle.NewRowDecoder(rle.AppendBinary(nil, img))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	stored := refstore.New(refstore.Config{})
+	meta, err := stored.Put(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := stored.Source(meta.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		a, b      RowSource
+		unchecked bool
+	}{
+		{"decoder ⊕ decoder", decoder(), decoder(), true},
+		{"stored ⊕ decoder", ref, decoder(), true},
+		{"stored ⊕ image", ref, img, false},
+		{"image ⊕ decoder", img, decoder(), false},
+		{"image ⊕ image", img, img, false},
+	} {
+		e := &entryCounter{}
+		discard := func(int) func(int, rle.Row) { return func(int, rle.Row) {} }
+		if _, err := XORRows(context.Background(), c.a, c.b, 1, func(int) Engine { return e }, discard); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := e.unchecked == img.Height && e.checked == 0; got != c.unchecked || e.checked+e.unchecked != img.Height {
+			t.Errorf("%s: %d checked, %d unchecked rows; want unchecked=%v", c.name, e.checked, e.unchecked, c.unchecked)
+		}
 	}
 }

@@ -16,127 +16,80 @@ func (Sequential) Name() string { return "sequential" }
 
 // XORRow implements Engine. Iterations in the Result is the number of
 // merge steps executed.
-func (Sequential) XORRow(a, b rle.Row) (Result, error) {
-	if err := validateInputs(a, b); err != nil {
-		return Result{}, err
-	}
-	row, steps := SequentialXOR(a, b)
-	return Result{Row: row, Iterations: steps}, nil
-}
+func (s Sequential) XORRow(a, b rle.Row) (Result, error) { return s.XORRowAppend(nil, a, b) }
 
 // XORRowAppend implements AppendEngine: the same merge writing its
 // output, canonical, after dst's existing runs.
-func (Sequential) XORRowAppend(dst rle.Row, a, b rle.Row) (Result, error) {
-	if err := validateInputs(a, b); err != nil {
+func (s Sequential) XORRowAppend(dst rle.Row, a, b rle.Row) (Result, error) {
+	if err := ValidateRowPair(a, b); err != nil {
 		return Result{}, err
 	}
+	return s.XORRowAppendValid(dst, a, b)
+}
+
+// XORRowAppendValid implements ValidAppendEngine.
+func (Sequential) XORRowAppendValid(dst rle.Row, a, b rle.Row) (Result, error) {
 	row, steps := AppendSequentialXOR(dst, a, b)
 	return Result{Row: row, Iterations: steps}, nil
 }
 
-// SequentialXOR merges two RLE rows into their XOR and returns the
-// number of merge steps taken. The output is ordered and
-// non-overlapping; like the systolic output it may contain adjacent
-// runs (callers canonicalize if they need maximal compression).
-func SequentialXOR(a, b rle.Row) (rle.Row, int) {
-	var out rle.Row
-	steps := sequentialXOR(a, b, func(start, end int) {
-		out = append(out, rle.Span(start, end))
-	})
-	return out, steps
-}
-
-// AppendSequentialXOR is SequentialXOR appending its output to dst in
-// canonical form (adjacent fragments merged as they are emitted),
-// reusing dst's capacity. The merge-step count is identical to
-// SequentialXOR's — emission does not affect the paper's accounting.
+// AppendSequentialXOR merges two valid RLE rows into their XOR,
+// appended to dst in canonical form (a fragment adjacent to the last
+// one emitted extends it; runs already in dst are never merged with),
+// and returns the number of merge steps taken: one per head consumed
+// or split, so Θ(k1+k2). Pass a nil dst for a fresh row.
+//
+// It is one loop over both slices. The heads are runs a[ia] and b[ib]
+// cut to start at as and bs: a merge step only ever removes a head's
+// left part, so a head always ends where its run does.
 func AppendSequentialXOR(dst rle.Row, a, b rle.Row) (rle.Row, int) {
-	base := len(dst)
-	steps := sequentialXOR(a, b, func(start, end int) {
-		if n := len(dst); n > base && dst[n-1].End()+1 >= start {
-			dst[n-1].Length = end - dst[n-1].Start + 1
-			return
+	base, steps := len(dst), 0
+	ia, as := advance(a, -1)
+	ib, bs := advance(b, -1)
+	for ia < len(a) || ib < len(b) {
+		steps++
+		var s, e int // the fragment to emit; none when e < s
+		switch {
+		case ib == len(b) || (ia < len(a) && a[ia].End() < bs):
+			// A's head ends before B's starts: a finished XOR run.
+			s, e = as, a[ia].End()
+			ia, as = advance(a, ia)
+		case ia == len(a) || b[ib].End() < as:
+			s, e = bs, b[ib].End()
+			ib, bs = advance(b, ib)
+		default:
+			// Overlap: emit the part before the later start; the part
+			// after the earlier end stays at the head of its list.
+			ae, be := a[ia].End(), b[ib].End()
+			s, e = min(as, bs), max(as, bs)-1
+			if ae <= be {
+				ia, as = advance(a, ia)
+			} else {
+				as = be + 1
+			}
+			if be <= ae {
+				ib, bs = advance(b, ib)
+			} else {
+				bs = ae + 1
+			}
 		}
-		dst = append(dst, rle.Span(start, end))
-	})
+		if s > e {
+			continue
+		}
+		if n := len(dst); n > base && dst[n-1].Start+dst[n-1].Length >= s {
+			dst[n-1].Length = e - dst[n-1].Start + 1
+		} else {
+			dst = append(dst, rle.Run{Start: s, Length: e - s + 1})
+		}
+	}
 	return dst, steps
 }
 
-// sequentialXOR is the §2 merge with emission abstracted out; emit
-// receives the inclusive bounds of each output run in increasing
-// order.
-func sequentialXOR(a, b rle.Row, emit func(start, end int)) int {
-	steps := 0
-	var ha, hb Reg // current head fragments of each list
-	ia, ib := 0, 0
-	loadA := func() {
-		if !ha.Full && ia < len(a) {
-			ha = MakeReg(a[ia].Start, a[ia].End())
-			ia++
-		}
+// advance moves a head past run i of r: it returns the next run's
+// index and start, or len(r) and 0 past the last run.
+func advance(r rle.Row, i int) (int, int) {
+	if i++; i < len(r) {
+		return i, r[i].Start
 	}
-	loadB := func() {
-		if !hb.Full && ib < len(b) {
-			hb = MakeReg(b[ib].Start, b[ib].End())
-			ib++
-		}
-	}
-	loadA()
-	loadB()
-	for ha.Full && hb.Full {
-		steps++
-		switch {
-		case ha.End < hb.Start:
-			// Heads disjoint (possibly adjacent): the earlier one is
-			// a finished XOR run.
-			emit(ha.Start, ha.End)
-			ha = Reg{}
-			loadA()
-		case hb.End < ha.Start:
-			emit(hb.Start, hb.End)
-			hb = Reg{}
-			loadB()
-		default:
-			// Overlap. XOR of the pair is the left fragment (before
-			// the later start) plus the right fragment (after the
-			// earlier end). Emit the left fragment; the right
-			// fragment is the remainder left at the head of the list
-			// it came from.
-			loStart := min(ha.Start, hb.Start)
-			hiStart := max(ha.Start, hb.Start)
-			if loStart < hiStart {
-				emit(loStart, hiStart-1)
-			}
-			loEnd := min(ha.End, hb.End)
-			hiEnd := max(ha.End, hb.End)
-			switch {
-			case loEnd == hiEnd:
-				// Equal ends: both heads consumed entirely.
-				ha, hb = Reg{}, Reg{}
-				loadA()
-				loadB()
-			case ha.End == hiEnd:
-				ha = MakeReg(loEnd+1, hiEnd)
-				hb = Reg{}
-				loadB()
-			default:
-				hb = MakeReg(loEnd+1, hiEnd)
-				ha = Reg{}
-				loadA()
-			}
-		}
-	}
-	for ha.Full {
-		steps++
-		emit(ha.Start, ha.End)
-		ha = Reg{}
-		loadA()
-	}
-	for hb.Full {
-		steps++
-		emit(hb.Start, hb.End)
-		hb = Reg{}
-		loadB()
-	}
-	return steps
+	return i, 0
 }

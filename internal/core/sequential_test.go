@@ -8,27 +8,28 @@ import (
 )
 
 func TestSequentialXORFigure1(t *testing.T) {
-	row, steps := SequentialXOR(fig1Img1(), fig1Img2())
+	row, steps := AppendSequentialXOR(nil, fig1Img1(), fig1Img2())
 	if !row.EqualBits(fig1XOR()) {
 		t.Fatalf("SequentialXOR = %v, want %v", row, fig1XOR())
 	}
-	if steps > len(fig1Img1())+len(fig1Img2()) {
-		t.Errorf("steps = %d exceeds k1+k2 = 9", steps)
-	}
-	if steps == 0 {
-		t.Error("steps should be positive")
+	// The §2 accounting of Figure 1's rows: seven merge steps for
+	// k1+k2 = 9 runs. Pinned, so a rewrite of the merge loop cannot
+	// shift Table 1's sequential column.
+	if steps != 7 {
+		t.Errorf("steps = %d, want 7", steps)
 	}
 }
 
 func TestSequentialMatchesSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
+	total := 0
 	for trial := 0; trial < 400; trial++ {
 		width := 8 + rng.Intn(500)
 		a := randomValidRow(rng, width)
 		b := randomValidRow(rng, width)
-		row, steps := SequentialXOR(a, b)
+		row, steps := AppendSequentialXOR(nil, a, b)
 		if !row.EqualBits(rle.XOR(a, b)) {
-			t.Fatalf("SequentialXOR(%v, %v) = %v, want %v", a, b, row, rle.XOR(a, b))
+			t.Fatalf("AppendSequentialXOR(nil, %v, %v) = %v, want %v", a, b, row, rle.XOR(a, b))
 		}
 		if err := row.Validate(-1); err != nil {
 			t.Fatalf("invalid output: %v", err)
@@ -42,6 +43,12 @@ func TestSequentialMatchesSweep(t *testing.T) {
 		if 2*steps < len(a)+len(b) {
 			t.Fatalf("steps %d implausibly small for %d runs", steps, len(a)+len(b))
 		}
+		total += steps
+	}
+	// The merge-step total over these seeded pairs, as the §2 merge
+	// counted it before it became one closure-free loop.
+	if total != 18488 {
+		t.Errorf("%d merge steps over the 400 pairs, want 18488", total)
 	}
 }
 
@@ -50,7 +57,7 @@ func TestSequentialStepCountIsTotalRunBound(t *testing.T) {
 	// the images are identical (maximal similarity), while the
 	// systolic engine finishes in one iteration.
 	row := randomValidRow(rand.New(rand.NewSource(5)), 2000)
-	_, seqSteps := SequentialXOR(row, row)
+	_, seqSteps := AppendSequentialXOR(nil, row, row)
 	if 2*seqSteps < len(row) {
 		t.Fatalf("sequential steps %d do not scale with runs %d", seqSteps, len(row))
 	}
@@ -67,11 +74,11 @@ func TestSequentialStepCountIsTotalRunBound(t *testing.T) {
 }
 
 func TestSequentialEmptyOperands(t *testing.T) {
-	if row, steps := SequentialXOR(nil, nil); len(row) != 0 || steps != 0 {
+	if row, steps := AppendSequentialXOR(nil, nil, nil); len(row) != 0 || steps != 0 {
 		t.Errorf("empty ^ empty = %v in %d steps", row, steps)
 	}
 	a := fig1Img1()
-	row, steps := SequentialXOR(a, nil)
+	row, steps := AppendSequentialXOR(nil, a, nil)
 	if !row.EqualBits(a) {
 		t.Errorf("a ^ empty = %v", row)
 	}
@@ -84,7 +91,7 @@ func TestSequentialAdjacentHeads(t *testing.T) {
 	// Exercises the disjoint-but-adjacent head case explicitly.
 	a := rle.Row{{Start: 0, Length: 5}}
 	b := rle.Row{{Start: 5, Length: 5}}
-	row, _ := SequentialXOR(a, b)
+	row, _ := AppendSequentialXOR(nil, a, b)
 	if !row.EqualBits(rle.Row{{Start: 0, Length: 10}}) {
 		t.Errorf("adjacent merge = %v", row)
 	}

@@ -23,7 +23,7 @@ func (Sparse) Name() string { return "systolic-sparse" }
 
 // XORRow implements Engine.
 func (Sparse) XORRow(a, b rle.Row) (Result, error) {
-	if err := validateInputs(a, b); err != nil {
+	if err := ValidateRowPair(a, b); err != nil {
 		return Result{}, err
 	}
 	cells := BuildCells(a, b)
@@ -41,7 +41,7 @@ func (Sparse) XORRow(a, b rle.Row) (Result, error) {
 // XORRowAppend implements AppendEngine, drawing the cell array and
 // the active-cell lists from a package pool.
 func (Sparse) XORRowAppend(dst rle.Row, a, b rle.Row) (Result, error) {
-	if err := validateInputs(a, b); err != nil {
+	if err := ValidateRowPair(a, b); err != nil {
 		return Result{}, err
 	}
 	s := sparsePool.Get().(*sparseScratch)

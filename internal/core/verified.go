@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -60,37 +61,18 @@ func (v *Verified) reference() Engine {
 	return Sequential{}
 }
 
-// XORRow implements Engine. Invalid inputs fail fast (both engines
-// would reject them identically — that is not a fault); everything
-// else that goes wrong in Primary triggers recovery.
-func (v *Verified) XORRow(a, b rle.Row) (Result, error) {
-	if err := validateInputs(a, b); err != nil {
-		return Result{}, err
-	}
-	res, err := v.primaryRow(a, b)
-	if err == nil {
-		err = CheckXORResult(a, b, res.Row)
-	}
-	if err == nil && v.CrossCheck {
-		if want, _ := SequentialXOR(a, b); !res.Row.EqualBits(want) {
-			err = fmt.Errorf("core: %s result mismatch: got %v want %v", v.Primary.Name(), res.Row, want)
-		}
-	}
-	if err == nil {
-		return res, nil
-	}
-	v.recovered.Add(1)
-	if v.OnFault != nil {
-		v.OnFault(err)
-	}
-	return v.reference().XORRow(a, b)
-}
+// XORRow implements Engine as XORRowAppend into a fresh row.
+func (v *Verified) XORRow(a, b rle.Row) (Result, error) { return v.XORRowAppend(nil, a, b) }
 
 // XORRowAppend implements AppendEngine: Primary runs through its own
 // append path into dst, the appended segment is checked, and on any
 // fault dst is rewound and the reference engine recomputes into it.
+// Invalid inputs fail fast (both engines would reject them identically
+// — that is not a fault), and so does a Primary error wrapping
+// ErrTooWide: a fixed array refusing a row pair too wide for it keeps
+// its contract, so the refusal is neither counted nor recomputed.
 func (v *Verified) XORRowAppend(dst rle.Row, a, b rle.Row) (Result, error) {
-	if err := validateInputs(a, b); err != nil {
+	if err := ValidateRowPair(a, b); err != nil {
 		return Result{}, err
 	}
 	base := len(dst)
@@ -99,12 +81,15 @@ func (v *Verified) XORRowAppend(dst rle.Row, a, b rle.Row) (Result, error) {
 		err = CheckXORResult(a, b, res.Row[base:])
 	}
 	if err == nil && v.CrossCheck {
-		if want, _ := SequentialXOR(a, b); !res.Row[base:].EqualBits(want) {
+		if want, _ := AppendSequentialXOR(nil, a, b); !res.Row[base:].EqualBits(want) {
 			err = fmt.Errorf("core: %s result mismatch: got %v want %v", v.Primary.Name(), res.Row[base:], want)
 		}
 	}
 	if err == nil {
 		return res, nil
+	}
+	if errors.Is(err, ErrTooWide) {
+		return Result{}, err
 	}
 	v.recovered.Add(1)
 	if v.OnFault != nil {
@@ -124,17 +109,6 @@ func (v *Verified) primaryRowAppend(dst rle.Row, a, b rle.Row) (res Result, err 
 		}
 	}()
 	return XORRowAppend(v.Primary, dst, a, b)
-}
-
-// primaryRow runs Primary, converting a panic into an error so a
-// faulty engine can never take down the caller.
-func (v *Verified) primaryRow(a, b rle.Row) (res Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("core: %s panicked: %v", v.Primary.Name(), p)
-		}
-	}()
-	return v.Primary.XORRow(a, b)
 }
 
 // CheckXORResult validates a claimed XOR result row against cheap

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -30,7 +31,7 @@ func TestVerifiedPassesThroughCorrectResults(t *testing.T) {
 	v.OnFault = func(error) { faults++ }
 	a := rle.Row{rle.Span(0, 4), rle.Span(10, 12)}
 	b := rle.Row{rle.Span(3, 11)}
-	want, _ := SequentialXOR(a, b)
+	want, _ := AppendSequentialXOR(nil, a, b)
 	res, err := v.XORRow(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +52,7 @@ func TestVerifiedRecoversFromPanic(t *testing.T) {
 	var got error
 	v.OnFault = func(err error) { got = err }
 	a, b := rle.Row{rle.Span(0, 4)}, rle.Row{rle.Span(2, 6)}
-	want, _ := SequentialXOR(a, b)
+	want, _ := AppendSequentialXOR(nil, a, b)
 	res, err := v.XORRow(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +70,7 @@ func TestVerifiedRecoversFromError(t *testing.T) {
 	faults := 0
 	v.OnFault = func(error) { faults++ }
 	a, b := rle.Row{rle.Span(0, 4)}, rle.Row{rle.Span(6, 8)}
-	want, _ := SequentialXOR(a, b)
+	want, _ := AppendSequentialXOR(nil, a, b)
 	res, err := v.XORRow(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +93,7 @@ func TestVerifiedCatchesValueMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := SequentialXOR(a, b)
+	want, _ := AppendSequentialXOR(nil, a, b)
 	if !res.Row.EqualBits(want) || faults != 1 {
 		t.Fatalf("row %v (want %v), faults %d", res.Row, want, faults)
 	}
@@ -108,6 +109,27 @@ func TestVerifiedPropagatesInvalidInput(t *testing.T) {
 	}
 	if faults != 0 {
 		t.Errorf("invalid input is not an engine fault, got %d", faults)
+	}
+}
+
+// TestVerifiedPassesTooWideThrough: a fixed array refusing a row pair
+// too wide for it is the array's contract, not a fault, so both entry
+// points return the ErrTooWide error as is, with nothing counted or
+// recomputed on the reference engine.
+func TestVerifiedPassesTooWideThrough(t *testing.T) {
+	tooWide := fmt.Errorf("%w: need 9 cells, have 4", ErrTooWide)
+	v := NewVerified(fakeEngine{err: tooWide})
+	faults := 0
+	v.OnFault = func(error) { faults++ }
+	a, b := rle.Row{rle.Span(0, 4), rle.Span(8, 9)}, rle.Row{rle.Span(2, 6)}
+	if _, err := v.XORRow(a, b); !errors.Is(err, ErrTooWide) {
+		t.Errorf("XORRow error %v, want ErrTooWide", err)
+	}
+	if res, err := v.XORRowAppend(rle.Row{rle.Span(100, 101)}, a, b); !errors.Is(err, ErrTooWide) || res.Row != nil {
+		t.Errorf("XORRowAppend = %v, %v; want no row and ErrTooWide", res.Row, err)
+	}
+	if faults != 0 || v.Recovered() != 0 {
+		t.Errorf("a too-wide refusal counted as %d faults, %d recovered", faults, v.Recovered())
 	}
 }
 

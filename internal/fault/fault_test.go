@@ -105,7 +105,7 @@ func TestEachKindDetectedAndRecovered(t *testing.T) {
 			applied := false
 			for i := 0; i < 32; i++ {
 				a, b := randomRow(rng, 60), randomRow(rng, 60)
-				want, _ := core.SequentialXOR(a, b)
+				want, _ := core.AppendSequentialXOR(nil, a, b)
 				res, err := v.XORRow(a, b)
 				if err != nil {
 					t.Fatalf("call %d: %v", i, err)

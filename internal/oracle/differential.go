@@ -76,7 +76,7 @@ func (r *run) differential(name string, eng sysrle.Engine, p pair, at location) 
 			// The §2 merge is the paper's reference semantics; bit
 			// equality against it catches a wrong pixel oracle as much
 			// as a wrong engine.
-			seq, _ := core.SequentialXOR(a, b)
+			seq, _ := core.AppendSequentialXOR(nil, a, b)
 			r.check(name, checkSequential, at, res.Row.EqualBits(seq),
 				a.String(), b.String(),
 				fmt.Sprintf("engine %v, sequential %v", res.Row, seq))

@@ -70,10 +70,7 @@ func (p *Packed) OneMachine() {}
 // XORRow implements Engine. The result row is freshly allocated and
 // remains valid after subsequent calls.
 func (p *Packed) XORRow(a, b rle.Row) (core.Result, error) {
-	if err := core.ValidateRowPair(a, b); err != nil {
-		return core.Result{}, err
-	}
-	return p.xor(nil, a, b), nil
+	return p.XORRowAppend(nil, a, b)
 }
 
 // XORRowAppend implements AppendEngine: the same diff appended,
@@ -83,6 +80,11 @@ func (p *Packed) XORRowAppend(dst rle.Row, a, b rle.Row) (core.Result, error) {
 	if err := core.ValidateRowPair(a, b); err != nil {
 		return core.Result{}, err
 	}
+	return p.xor(dst, a, b), nil
+}
+
+// XORRowAppendValid implements core.ValidAppendEngine.
+func (p *Packed) XORRowAppendValid(dst rle.Row, a, b rle.Row) (core.Result, error) {
 	return p.xor(dst, a, b), nil
 }
 
@@ -216,22 +218,23 @@ func (p *Planner) decide(k1, k2, width int) core.Route {
 // XORRow implements Engine. The result row is freshly allocated and
 // remains valid after subsequent calls.
 func (p *Planner) XORRow(a, b rle.Row) (core.Result, error) {
-	return p.run(nil, a, b)
+	return p.XORRowAppend(nil, a, b)
 }
 
 // XORRowAppend implements AppendEngine: both paths append their
 // result, canonical, to dst, and both are allocation-free once warm.
 func (p *Planner) XORRowAppend(dst rle.Row, a, b rle.Row) (core.Result, error) {
-	return p.run(dst, a, b)
-}
-
-// run validates, routes and executes one row. Iterations reports
-// merge steps on the RLE path and words processed on the packed path
-// — the unit of work of whichever machine ran the row.
-func (p *Planner) run(dst rle.Row, a, b rle.Row) (core.Result, error) {
 	if err := core.ValidateRowPair(a, b); err != nil {
 		return core.Result{}, err
 	}
+	return p.XORRowAppendValid(dst, a, b)
+}
+
+// XORRowAppendValid implements core.ValidAppendEngine: it routes and
+// runs one row. Iterations reports merge steps on the RLE path and
+// words processed on the packed path — the unit of work of whichever
+// machine ran the row.
+func (p *Planner) XORRowAppendValid(dst rle.Row, a, b rle.Row) (core.Result, error) {
 	width := packWidth(a, b)
 	if p.decide(len(a), len(b), width) == core.RoutePacked {
 		return p.packed.xor(dst, a, b), nil

@@ -50,7 +50,7 @@ func TestEnginesMatchSequential(t *testing.T) {
 		width := 1 + rng.Intn(300)
 		a := randomFragmentedRow(rng, width)
 		b := randomFragmentedRow(rng, width)
-		want, _ := core.SequentialXOR(a, b)
+		want, _ := core.AppendSequentialXOR(nil, a, b)
 		for _, eng := range engines {
 			res, err := eng.XORRow(a, b)
 			if err != nil {

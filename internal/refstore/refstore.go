@@ -307,6 +307,21 @@ func (s *Store) Get(id string) (*rle.Image, error) {
 	return img, nil
 }
 
+// Image is a stored reference as a row source: shared, read-only, and
+// with rows valid by construction, since Put checked them and they are
+// decoded from the store's own bytes. RowsValid tells core.XORRows so,
+// and it skips the engines' per-row operand check.
+type Image struct{ *rle.Image }
+
+// RowsValid marks Image as a core.ValidSource.
+func (Image) RowsValid() {}
+
+// Source is Get as a row source for a diff.
+func (s *Store) Source(id string) (Image, error) {
+	img, err := s.Get(id)
+	return Image{img}, err
+}
+
 // Meta returns the metadata for a reference without decoding it.
 func (s *Store) Meta(id string) (Meta, bool) {
 	s.mu.Lock()

@@ -307,6 +307,11 @@ func (d *RowDecoder) next(dst Row) (Row, error) {
 // Size returns the image's dimensions.
 func (d *RowDecoder) Size() (width, height int) { return d.Width, d.Height }
 
+// RowsValid marks the decoder as a source of valid rows
+// (core.ValidSource): every row it serves passed the per-run checks
+// above, which imply Row.Validate(Width).
+func (d *RowDecoder) RowsValid() {}
+
 // ReadRow serves row y, which must be the next row, appended to dst:
 // a RowDecoder is a sequential row source.
 func (d *RowDecoder) ReadRow(y int, dst Row) (Row, error) {

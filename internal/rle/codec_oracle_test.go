@@ -127,6 +127,38 @@ func binaryCorpus(t testing.TB) [][]byte {
 	return append(out, []byte("RLEB\x00\x00"), []byte("RLEB\x05\x03\x00\x00\x00"))
 }
 
+// FuzzRowDecoderRowsValid: every row a RowDecoder accepts passes
+// Row.Validate(width), rows before a malformed one included. The
+// engines take decoded rows through their unchecked entry
+// (core.ValidSource), so this is the check they skip.
+func FuzzRowDecoderRowsValid(f *testing.F) {
+	for _, data := range binaryCorpus(f) {
+		f.Add(data)
+		if len(data) > 6 {
+			corrupted := append([]byte{}, data...)
+			corrupted[len(data)/2] ^= 0x81
+			f.Add(corrupted)
+		}
+	}
+	// Adjacent runs (gap 0) and a run ending on the last pixel.
+	f.Add(AppendBinaryRow(AppendBinaryHeader(nil, 8, 1), Row{{Start: 0, Length: 4}, {Start: 4, Length: 4}}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := NewRowDecoder(data)
+		if err != nil {
+			return
+		}
+		var row Row
+		for y := 0; y < d.Height; y++ {
+			if row, err = d.ReadRow(y, row[:0]); err != nil {
+				return
+			}
+			if err := row.Validate(d.Width); err != nil {
+				t.Fatalf("row %d %v accepted for width %d: %v", y, row, d.Width, err)
+			}
+		}
+	})
+}
+
 // FuzzDecodeBinary: on any input, DecodeBinary and the old reader
 // agree on accept or reject; an accepted stream decodes to equal,
 // valid images, and RowDecoder.Next yields the same rows one by one.

@@ -9,7 +9,7 @@ import "sort"
 //
 // These are the library-grade implementations; the step-counted
 // sequential merge used as the paper's baseline lives in
-// internal/core (SequentialXOR) because its iteration accounting is
+// internal/core (AppendSequentialXOR) because its iteration accounting is
 // part of the evaluation, not of the data structure.
 
 // combine sweeps the run boundaries of a and b from left to right,

@@ -16,7 +16,7 @@ func decodeRow(data []byte) rle.Row {
 	var row rle.Row
 	pos := 0
 	for i := 0; i+1 < len(data) && len(row) < 64; i += 2 {
-		gap := int(data[i]) % 17   // 0 = adjacent fragment
+		gap := int(data[i]) % 17 // 0 = adjacent fragment
 		length := int(data[i+1])%9 + 1
 		start := pos + gap
 		row = append(row, rle.Run{Start: start, Length: length})
@@ -77,7 +77,7 @@ func FuzzUnionOfTranslates(f *testing.F) {
 		}
 		// Append contract: a prefix survives untouched and the suffix is
 		// unchanged.
-		prefix := rle.Row{rle.Span(width + 10, width + 11)}
+		prefix := rle.Row{rle.Span(width+10, width+11)}
 		both := AppendDilateRow(prefix, row, left, right, width)
 		if both[0] != prefix[0] || !both[1:].Equal(got) {
 			t.Fatalf("append contract broken: %v", both)
@@ -107,7 +107,7 @@ func FuzzErodeIntersection(f *testing.F) {
 		if want := refBits(row, left, right, width, false); !got.Equal(want) {
 			t.Fatalf("erode(%v, -%d..+%d) = %v, want %v", row, left, right, got, want)
 		}
-		prefix := rle.Row{rle.Span(width + 10, width + 11)}
+		prefix := rle.Row{rle.Span(width+10, width+11)}
 		both := AppendErodeRow(prefix, row, left, right)
 		if both[0] != prefix[0] || !both[1:].Equal(got) {
 			t.Fatalf("append contract broken: %v", both)

@@ -58,11 +58,12 @@ func (s *Server) handleDocClean(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, r, http.StatusBadRequest, fmt.Errorf("unknown format %q (have %v)", format, imageio.Formats()))
 		return
 	}
-	if !s.parseForm(w, r) {
+	up, ok := s.readUpload(w, r)
+	if !ok {
 		return
 	}
-	defer cleanupForm(r.MultipartForm)
-	img, err := formImage(r, "image")
+	defer up.Close()
+	img, err := up.Image("image")
 	if err != nil {
 		s.httpError(w, r, http.StatusBadRequest, err)
 		return

@@ -166,7 +166,7 @@ func TestDiffStatHeadersPerEngine(t *testing.T) {
 		if p.RowsPacked() > packedBefore {
 			want = (max(rowEnd(a.Rows[y]), rowEnd(b.Rows[y])) + 63) / 64
 		} else {
-			_, want = core.SequentialXOR(a.Rows[y], b.Rows[y])
+			_, want = core.AppendSequentialXOR(nil, a.Rows[y], b.Rows[y])
 		}
 		if res.Iterations != want {
 			t.Fatalf("row %d: planner iterations %d, want %d", y, res.Iterations, want)

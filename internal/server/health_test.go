@@ -12,6 +12,7 @@ import (
 	"sysrle/internal/apiclient"
 	"sysrle/internal/fault"
 	"sysrle/internal/jobs"
+	"sysrle/internal/perf"
 	"sysrle/internal/rle"
 )
 
@@ -220,6 +221,36 @@ func TestFaultInjectionEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(string(metrics), "sysrle_fault_recovered_total") {
 		t.Error("metrics missing sysrle_fault_recovered_total")
+	}
+}
+
+// TestFaultInjectionKeepsLockstepCellCap: chaos mode answers as
+// production does when the served lockstep refuses a row pair too wide
+// for its array. The refusal is not a fault, so the verified engine
+// neither recovers it on the sequential merge nor counts it, and the
+// scan fails naming the capacity.
+func TestFaultInjectionKeepsLockstepCellCap(t *testing.T) {
+	plan, err := fault.ParsePlan("rate=0.01,seed=1,kinds=slow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewWith(Config{JobWorkers: 1, FaultPlan: &plan})
+	defer s.Close()
+	// One 4096-wide row pair of alternating pixels needs 4097 cells.
+	wide, err := perf.GeneratePair("worst", 4096, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := s.jobs.Submit(jobs.Spec{Engine: "lockstep", Ref: wide.A, Scans: []*rle.Image{wide.B}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitJob(t, s, id)
+	if st.State != jobs.StateFailed || !strings.Contains(st.Results[0].Error, "exceeds array capacity") {
+		t.Errorf("chaos job: state %s, results %+v; want a failed scan naming the capacity", st.State, st.Results)
+	}
+	if n := s.reg.Counter("sysrle_fault_recovered_total").Value(); n != 0 {
+		t.Errorf("the refusal was counted as %d recovered faults", n)
 	}
 }
 

@@ -12,18 +12,17 @@ import (
 	"strconv"
 
 	"sysrle/internal/apiclient"
-	"sysrle/internal/imageio"
 	"sysrle/internal/jobs"
 	"sysrle/internal/refstore"
-	"sysrle/internal/rle"
 )
 
 func (s *Server) handleRefPut(w http.ResponseWriter, r *http.Request) {
-	if !s.parseForm(w, r) {
+	up, ok := s.readUpload(w, r)
+	if !ok {
 		return
 	}
-	defer cleanupForm(r.MultipartForm)
-	img, err := formImage(r, "image")
+	defer up.Close()
+	img, err := up.Image("image")
 	if err != nil {
 		s.httpError(w, r, http.StatusBadRequest, err)
 		return
@@ -120,27 +119,28 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, r, http.StatusBadRequest, fmt.Errorf("unknown job type %q (have inspect, docclean)", spec.Type))
 		return
 	}
-	if !s.parseForm(w, r) {
+	up, ok := s.readUpload(w, r)
+	if !ok {
 		return
 	}
-	defer cleanupForm(r.MultipartForm)
+	defer up.Close()
 
 	if spec.Type == jobs.TypeDocClean {
 		// Per-page cleanup takes no reference; reject rather than
 		// silently ignore one (same strictness as jobs.Submit applies
 		// to the engine parameter).
-		if r.URL.Query().Get("ref") != "" || r.FormValue("ref") != "" || len(r.MultipartForm.File["ref"]) > 0 {
+		if _, file := up.File("ref"); r.URL.Query().Get("ref") != "" || up.Value("ref") != "" || file {
 			s.httpError(w, r, http.StatusBadRequest, errors.New("docclean jobs take no reference"))
 			return
 		}
 	} else {
 		spec.RefID = r.URL.Query().Get("ref")
 		if spec.RefID == "" {
-			spec.RefID = r.FormValue("ref")
+			spec.RefID = up.Value("ref")
 		}
 		if spec.RefID == "" {
 			// No registered reference named: accept one uploaded inline.
-			ref, err := formImage(r, "ref")
+			ref, err := up.Image("ref")
 			if err != nil {
 				s.httpError(w, r, http.StatusBadRequest,
 					fmt.Errorf("need ?ref=<id>, form value \"ref\", or an uploaded \"ref\" file: %v", err))
@@ -150,25 +150,14 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	files := r.MultipartForm.File["scan"]
-	if len(files) == 0 {
-		s.httpError(w, r, http.StatusBadRequest, errors.New(`no "scan" uploads in form`))
+	var err error
+	if spec.Scans, err = up.Images("scan"); err != nil {
+		s.httpError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	spec.Scans = make([]*rle.Image, 0, len(files))
-	for i, fh := range files {
-		f, err := fh.Open()
-		if err != nil {
-			s.httpError(w, r, http.StatusBadRequest, fmt.Errorf("scan %d: %v", i, err))
-			return
-		}
-		img, err := imageio.Read(f)
-		_ = f.Close()
-		if err != nil {
-			s.httpError(w, r, http.StatusBadRequest, fmt.Errorf("scan %d (%s): %v", i, fh.Filename, err))
-			return
-		}
-		spec.Scans = append(spec.Scans, img)
+	if len(spec.Scans) == 0 {
+		s.httpError(w, r, http.StatusBadRequest, errors.New(`no "scan" uploads in form`))
+		return
 	}
 
 	id, err := s.jobs.Submit(spec)

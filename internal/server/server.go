@@ -160,12 +160,9 @@
 package server
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
-	"mime/multipart"
 	"net/http"
 	"sync"
 	"time"
@@ -185,14 +182,10 @@ import (
 	"sysrle/internal/wal"
 )
 
-// MaxUploadBytes is the default bound on one multipart upload.
+// MaxUploadBytes is the default bound on one multipart upload. An
+// upload is held in memory while its request is served, so this also
+// bounds what one request can hold.
 const MaxUploadBytes = 64 << 20
-
-// multipartMemory is ParseMultipartForm's in-memory threshold: parts
-// beyond it spill to temp files, so concurrent large uploads cost disk,
-// not RAM. (Passing the full upload limit here — the old behavior —
-// buffered every upload entirely in memory.)
-const multipartMemory = 8 << 20
 
 // Config tunes the service; the zero value gets production defaults.
 type Config struct {
@@ -459,56 +452,29 @@ func (s *Server) recordEngine(engine string, totalIterations, rowsDiffering int)
 	s.reg.Counter("sysrle_engine_runs_total", eng).Inc()
 }
 
-func formImage(r *http.Request, field string) (*rle.Image, error) {
-	file, _, err := r.FormFile(field)
+// readUpload reads the multipart body under the upload limit,
+// writing the error response itself on failure. The caller closes the
+// Upload once it has read every image it needs.
+func (s *Server) readUpload(w http.ResponseWriter, r *http.Request) (*apiclient.Upload, bool) {
+	up, err := apiclient.ReadUpload(w, r, s.cfg.MaxUploadBytes)
 	if err != nil {
-		return nil, fmt.Errorf("missing upload %q: %v", field, err)
+		s.httpError(w, r, apiclient.UploadStatus(err), err)
+		return nil, false
 	}
-	defer file.Close()
-	img, err := imageio.Read(file)
-	if err != nil {
-		return nil, fmt.Errorf("upload %q: %v", field, err)
-	}
-	return img, nil
-}
-
-// parseForm applies the upload limit and parses the multipart body,
-// writing the error response itself on failure. Handlers read every
-// image they need before returning; the deferred cleanup then drops
-// any temp files the parts spilled to.
-func (s *Server) parseForm(w http.ResponseWriter, r *http.Request) bool {
-	if s.cfg.MaxUploadBytes > 0 {
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
-	}
-	if err := r.ParseMultipartForm(multipartMemory); err != nil {
-		code := http.StatusBadRequest
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		s.httpError(w, r, code, fmt.Errorf("parsing multipart form: %v", err))
-		return false
-	}
-	return true
-}
-
-func cleanupForm(f *multipart.Form) {
-	if f != nil {
-		_ = f.RemoveAll()
-	}
+	return up, true
 }
 
 // storedRef resolves the ref=<id> query parameter through the
 // registry, writing 404 on an unknown or expired id.
-func (s *Server) storedRef(w http.ResponseWriter, r *http.Request, id string) (*rle.Image, bool) {
-	img, err := s.refs.Get(id)
+func (s *Server) storedRef(w http.ResponseWriter, r *http.Request, id string) (refstore.Image, bool) {
+	img, err := s.refs.Source(id)
 	if err != nil {
 		code := http.StatusInternalServerError
 		if errors.Is(err, refstore.ErrNotFound) {
 			code = http.StatusNotFound
 		}
 		s.httpError(w, r, code, fmt.Errorf("reference %q: %w", id, err))
-		return nil, false
+		return img, false
 	}
 	return img, true
 }
@@ -518,51 +484,31 @@ func (s *Server) storedRef(w http.ResponseWriter, r *http.Request, id string) (*
 // (no upload, no decode on a cache hit) and only fieldB is read from
 // the form.
 func (s *Server) parseUploads(w http.ResponseWriter, r *http.Request, fieldA, fieldB string) (*rle.Image, *rle.Image, bool) {
-	if !s.parseForm(w, r) {
+	up, ok := s.readUpload(w, r)
+	if !ok {
 		return nil, nil, false
 	}
-	defer cleanupForm(r.MultipartForm)
+	defer up.Close()
 	var a *rle.Image
 	if id := r.URL.Query().Get("ref"); id != "" {
-		var ok bool
-		if a, ok = s.storedRef(w, r, id); !ok {
+		ref, ok := s.storedRef(w, r, id)
+		if !ok {
 			return nil, nil, false
 		}
+		a = ref.Image
 	} else {
 		var err error
-		if a, err = formImage(r, fieldA); err != nil {
+		if a, err = up.Image(fieldA); err != nil {
 			s.httpError(w, r, http.StatusBadRequest, err)
 			return nil, nil, false
 		}
 	}
-	b, err := formImage(r, fieldB)
+	b, err := up.Image(fieldB)
 	if err != nil {
 		s.httpError(w, r, http.StatusBadRequest, err)
 		return nil, nil, false
 	}
 	return a, b, true
-}
-
-// diffSource reads upload field as a /v1/diff operand. An RLEB part
-// is decoded one row at a time as the diff consumes it; any other
-// format decodes to a whole image.
-func diffSource(r *http.Request, field string) (sysrle.RowSource, error) {
-	file, fh, err := r.FormFile(field)
-	if err != nil {
-		return nil, fmt.Errorf("missing upload %q: %v", field, err)
-	}
-	defer file.Close()
-	data := make([]byte, fh.Size)
-	var src sysrle.RowSource
-	if _, err = io.ReadFull(file, data); err == nil && bytes.HasPrefix(data, []byte("RLEB")) {
-		src, err = rle.NewRowDecoder(data)
-	} else if err == nil {
-		src, err = imageio.Read(bytes.NewReader(data))
-	}
-	if err != nil {
-		return nil, fmt.Errorf("upload %q: %v", field, err)
-	}
-	return src, nil
 }
 
 // handleDiff streams: RLEB uploads are decoded row by row as the
@@ -583,10 +529,11 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, r, http.StatusBadRequest, fmt.Errorf("unknown format %q (have %v)", format, imageio.Formats()))
 		return
 	}
-	if !s.parseForm(w, r) {
+	up, ok := s.readUpload(w, r)
+	if !ok {
 		return
 	}
-	defer cleanupForm(r.MultipartForm)
+	defer up.Close()
 	var a, b sysrle.RowSource
 	if id := r.URL.Query().Get("ref"); id != "" {
 		ref, ok := s.storedRef(w, r, id)
@@ -594,17 +541,19 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		a = ref
-	} else if a, err = diffSource(r, "a"); err != nil {
+	} else if a, err = up.Rows("a"); err != nil {
 		s.httpError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	if b, err = diffSource(r, "b"); err != nil {
+	if b, err = up.Rows("b"); err != nil {
 		s.httpError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	width, height := a.Size()
 	var diff *rle.Image
-	body, pixels := rle.AppendBinaryHeader(nil, width, height), 0
+	buf := apiclient.Buffer()
+	defer apiclient.Recycle(buf)
+	body, pixels := rle.AppendBinaryHeader(*buf, width, height), 0
 	sink := func(int) func(int, rle.Row) {
 		return func(_ int, row rle.Row) {
 			body = rle.AppendBinaryRow(body, row)
@@ -638,6 +587,7 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	}
 	apiclient.SetDiffHeaders(w.Header(), format, *stats, engine.Name(), pixels)
 	if diff == nil {
+		*buf = body
 		_, _ = w.Write(body)
 		return
 	}

@@ -227,6 +227,9 @@ func TestNewServedEngine(t *testing.T) {
 		if eng.Name() != want.Name() {
 			t.Errorf("%q: served %s, registry %s", name, eng.Name(), want.Name())
 		}
+		if _, ok := eng.(core.ValidAppendEngine); !ok {
+			t.Errorf("%q: %T has no unchecked append entry", name, eng)
+		}
 	}
 	for _, name := range []string{"channel", "sparse", "bus", "verified", "quantum"} {
 		_, err := NewServedEngine(name, nil)
@@ -254,6 +257,7 @@ func TestServedLockstepCellCap(t *testing.T) {
 	for _, res := range []func() (Result, error){
 		func() (Result, error) { return eng.XORRow(a, b) },
 		func() (Result, error) { return eng.XORRowAppend(nil, a, b) },
+		func() (Result, error) { return eng.XORRowAppendValid(nil, a, b) },
 	} {
 		r, err := res()
 		if !errors.Is(err, core.ErrTooWide) || r.Iterations != 0 || snapshots != 0 {

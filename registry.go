@@ -156,3 +156,12 @@ func (e servedLockstep) XORRowAppend(dst, a, b Row) (Result, error) {
 	}
 	return e.Lockstep.XORRowAppend(dst, a, b)
 }
+
+// XORRowAppendValid implements core.ValidAppendEngine, under the same
+// cap: the embedded Lockstep's entry would build any array.
+func (e servedLockstep) XORRowAppendValid(dst, a, b Row) (Result, error) {
+	if err := core.CheckCells(a, b, MaxServedCells); err != nil {
+		return Result{}, err
+	}
+	return e.Lockstep.XORRowAppendValid(dst, a, b)
+}

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"sysrle/internal/rle"
 	"sysrle/internal/workload"
 )
 
@@ -210,4 +211,44 @@ func TestDiffImagePanicEngineFailsRow(t *testing.T) {
 			t.Errorf("workers=%d: err = %v, want row 0's panic", workers, err)
 		}
 	}
+}
+
+// TestDiffRowsChecksCallerImages: rows of a caller-supplied *Image are
+// not valid by construction, so DiffRows checks them on every served
+// engine, also when the other operand is a decoder whose rows skip the
+// check, and fails with the operand check's own error.
+func TestDiffRowsChecksCallerImages(t *testing.T) {
+	good := NewImage(16, 3)
+	good.Rows[1] = Row{{Start: 1, Length: 4}}
+	bad := NewImage(16, 3)
+	bad.Rows[1] = Row{{Start: 6, Length: 2}, {Start: 2, Length: 2}}
+	discard := func(int) func(int, Row) { return func(int, Row) {} }
+	for _, name := range []string{"planner", "sequential", "packed", "lockstep"} {
+		for _, c := range []struct {
+			a, b RowSource
+			want string
+		}{
+			{good, bad, "sysrle: row 1: second operand: rle: run 1 (2,2) does not increase after (6,2)"},
+			{bad, good, "sysrle: row 1: first operand: rle: run 1 (2,2) does not increase after (6,2)"},
+			{mustDecoder(t, good), bad, "sysrle: row 1: second operand: rle: run 1 (2,2) does not increase after (6,2)"},
+		} {
+			eng, err := NewEngineByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = DiffRows(c.a, c.b, discard, WithEngine(eng), WithWorkers(1))
+			if err == nil || err.Error() != c.want {
+				t.Errorf("%s, %T ⊕ %T: error %v, want %q", name, c.a, c.b, err, c.want)
+			}
+		}
+	}
+}
+
+func mustDecoder(t *testing.T, img *Image) RowSource {
+	t.Helper()
+	d, err := rle.NewRowDecoder(rle.AppendBinary(nil, img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
