@@ -96,11 +96,11 @@ calibrate:
 # The allocation regression gate plus the planner and run-native
 # morphology competitiveness smokes: deterministic allocs/op
 # assertions over the hot paths, the sweep-endpoint wall-clock gate,
-# the sparse-A4 opening gate, the row-loop scheduling-overhead gate
-# and the streamed /v1/diff allocation gate, ref-routed and inline
-# (mirrors the ci.yml perf-smoke job).
+# the sparse-A4 opening gate, the row-loop scheduling-overhead gate,
+# the streamed /v1/diff allocation gate, ref-routed and inline, and the
+# planner's publish-once gate (mirrors the ci.yml perf-smoke job).
 perf-smoke:
-	$(GO) test -run 'AllocReduction|ZeroAllocs|StreamAllocs|PlannerSmoke|RunmorphSmoke|SchedulingOverhead' -v \
+	$(GO) test -run 'AllocReduction|ZeroAllocs|StreamAllocs|PlannerSmoke|PublishOnce|RunmorphSmoke|SchedulingOverhead' -v \
 		./internal/perf/ ./internal/core/ ./internal/planner/
 
 # Regenerate every paper table and figure (see EXPERIMENTS.md).

@@ -80,6 +80,15 @@ type OneMachine interface {
 	OneMachine()
 }
 
+// Flusher is implemented by engines that tally per-row telemetry in
+// the engine and publish it in one step: XORRows calls Flush once per
+// worker, before it returns, so a row loop writes no shared counter
+// per row. Wrappers (Verified, fault injection) forward it to the
+// engines they wrap.
+type Flusher interface {
+	Flush()
+}
+
 // RowWorkers sizes the worker pool of a whole-image loop that shares
 // engine e across its workers: n workers (GOMAXPROCS when n ≤ 0), no
 // more than there are rows, and exactly one when e is a OneMachine.

@@ -61,7 +61,9 @@ func PersistRows(img *rle.Image) func(w int) func(y int, row rle.Row) {
 // goroutine and visits rows in order 0…H-1, as the planner's
 // hysteresis, a sequential source such as rle.RowDecoder and an
 // order-dependent sink all require. XORRows returns the engine counts
-// summed and maxed over every row.
+// summed and maxed over every row. A worker whose engine is a Flusher
+// flushes it once, after its last row, so the engine's telemetry is
+// published before XORRows returns.
 //
 // When both sources are ValidSources and engine(w) is a
 // ValidAppendEngine, rows go through its unchecked entry: the sources
@@ -110,6 +112,9 @@ func XORRows(ctx context.Context, a, b RowSource, workers int, engine func(w int
 		defer func() {
 			if p := recover(); p != nil {
 				fail(y, fmt.Errorf("engine %s panicked: %v", eng.Name(), p))
+			}
+			if f, ok := eng.(Flusher); ok {
+				f.Flush()
 			}
 			mu.Lock()
 			defer mu.Unlock()

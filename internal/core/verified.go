@@ -53,6 +53,14 @@ func (v *Verified) Name() string { return "verified(" + v.Primary.Name() + ")" }
 // operation take a before/after difference.
 func (v *Verified) Recovered() int64 { return v.recovered.Load() }
 
+// Flush implements Flusher by flushing Primary, so an engine that
+// tallies its telemetry still publishes it when verified.
+func (v *Verified) Flush() {
+	if f, ok := v.Primary.(Flusher); ok {
+		f.Flush()
+	}
+}
+
 // reference returns the recovery engine.
 func (v *Verified) reference() Engine {
 	if v.Reference != nil {

@@ -280,11 +280,20 @@ func Wrap(inner core.Engine, inj *Injector) core.Engine {
 // Name implements core.Engine.
 func (e Engine) Name() string { return e.inner.Name() + "+fault" }
 
+// Flush implements core.Flusher by flushing the inner engine, whose
+// rows run through its append path and so leave their telemetry to
+// Flush.
+func (e Engine) Flush() {
+	if f, ok := e.inner.(core.Flusher); ok {
+		f.Flush()
+	}
+}
+
 // XORRow implements core.Engine, possibly injecting one fault.
 func (e Engine) XORRow(a, b rle.Row) (core.Result, error) {
 	kind, pos, fire := e.inj.roll()
 	if !fire {
-		return e.inner.XORRow(a, b)
+		return e.row(a, b)
 	}
 	switch kind {
 	case KindError:
@@ -296,9 +305,9 @@ func (e Engine) XORRow(a, b rle.Row) (core.Result, error) {
 	case KindSlow:
 		e.inj.note(kind)
 		time.Sleep(e.inj.plan.SlowFor)
-		return e.inner.XORRow(a, b)
+		return e.row(a, b)
 	}
-	res, err := e.inner.XORRow(a, b)
+	res, err := e.row(a, b)
 	if err != nil {
 		return res, err
 	}
@@ -332,4 +341,9 @@ func (e Engine) XORRow(a, b rle.Row) (core.Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// row runs the inner engine on one row pair into a fresh row.
+func (e Engine) row(a, b rle.Row) (core.Result, error) {
+	return core.XORRowAppend(e.inner, nil, a, b)
 }

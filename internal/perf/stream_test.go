@@ -51,7 +51,8 @@ func generate(tb testing.TB, kind string, side int, seed int64) Pair {
 
 // diffRequest encodes parts "a" (if given) and "b" as RLEB into one
 // multipart body and returns a function that posts it to path and
-// checks the answer is 200.
+// checks the answer is 200. The function may run on several goroutines
+// at once, so it reports a bad answer with Errorf.
 func diffRequest(tb testing.TB, s *server.Server, path string, parts map[string]*rle.Image) func() {
 	var body bytes.Buffer
 	mw := multipart.NewWriter(&body)
@@ -75,7 +76,7 @@ func diffRequest(tb testing.TB, s *server.Server, path string, parts map[string]
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {
-			tb.Fatalf("status %d: %s", rec.Code, rec.Body)
+			tb.Errorf("status %d: %s", rec.Code, rec.Body)
 		}
 	}
 }
@@ -122,7 +123,10 @@ func TestDiffHandlerStreamAllocs(t *testing.T) {
 }
 
 // BenchmarkDiffHandler times one /v1/diff through the whole in-process
-// handler stack for each shape:
+// handler stack for each shape, one request at a time and, in the
+// /parallel variants, GOMAXPROCS requests at a time on one server, so
+// that contention between requests (on shared telemetry series, the
+// buffer pools, the reference store) shows in ns/op:
 //
 //	go test -run '^$' -bench DiffHandler -benchmem ./internal/perf/
 func BenchmarkDiffHandler(b *testing.B) {
@@ -135,6 +139,17 @@ func BenchmarkDiffHandler(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				diff()
 			}
+		})
+		b.Run(shape.name+"/parallel", func(b *testing.B) {
+			s, diff := shape.serve(b)
+			defer s.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					diff()
+				}
+			})
 		})
 	}
 }

@@ -21,8 +21,6 @@
 package planner
 
 import (
-	"sync/atomic"
-
 	"sysrle/internal/bitmap"
 	"sysrle/internal/core"
 	"sysrle/internal/rle"
@@ -132,14 +130,18 @@ type Planner struct {
 	router core.Router
 	packed Packed
 
-	rowsPacked atomic.Int64
-	rowsRLE    atomic.Int64
+	// Routing decisions so far, published to the registry or not.
+	rowsPacked, rowsRLE int64
 
-	// Telemetry series, resolved once at construction (get-or-create
-	// on the hot path would take the registry lock per row).
-	ctrPacked *telemetry.Counter
-	ctrRLE    *telemetry.Counter
-	histRatio *telemetry.Histogram
+	// Telemetry series attached by WithMetrics, and the decisions not
+	// yet added to them: rows tally in plain fields and Flush
+	// publishes them, so the row path writes no memory that
+	// concurrent requests share.
+	ctrPacked, ctrRLE *telemetry.Counter
+	histRatio         *telemetry.Histogram
+	pubPacked, pubRLE int64   // the part of rowsPacked, rowsRLE published
+	ratioBands        []int64 // unpublished ratio observations per band
+	ratioSum          float64 // their sum
 }
 
 // Option configures a Planner.
@@ -156,9 +158,12 @@ func WithHysteresis(h float64) Option {
 	return func(p *Planner) { p.router.Hysteresis = h }
 }
 
-// WithMetrics attaches a telemetry registry: every decision
-// increments MetricRowsPacked or MetricRowsRLE and observes the
-// modelled cost ratio in MetricCrossoverRatio.
+// WithMetrics attaches a telemetry registry: every decision counts
+// in MetricRowsPacked or MetricRowsRLE and observes the modelled cost
+// ratio in MetricCrossoverRatio. Decisions are tallied in the engine
+// and published by Flush, which core.XORRows calls once per worker
+// before it returns, so a whole image costs a handful of atomic adds
+// on the registry, not several per row; XORRow publishes at once.
 func WithMetrics(reg *telemetry.Registry) Option {
 	return func(p *Planner) {
 		if reg == nil {
@@ -167,6 +172,7 @@ func WithMetrics(reg *telemetry.Registry) Option {
 		p.ctrPacked = reg.Counter(MetricRowsPacked)
 		p.ctrRLE = reg.Counter(MetricRowsRLE)
 		p.histRatio = reg.Histogram(MetricCrossoverRatio, CrossoverBuckets)
+		p.ratioBands = make([]int64, len(CrossoverBuckets)+1)
 	}
 }
 
@@ -188,37 +194,58 @@ func (p *Planner) Name() string { return "planner" }
 func (p *Planner) OneMachine() {}
 
 // RowsPacked reports how many rows this engine routed to the packed
-// path so far.
-func (p *Planner) RowsPacked() int64 { return p.rowsPacked.Load() }
+// path so far, published or not.
+func (p *Planner) RowsPacked() int64 { return p.rowsPacked }
 
 // RowsRLE reports how many rows this engine routed to the RLE merge
-// path so far.
-func (p *Planner) RowsRLE() int64 { return p.rowsRLE.Load() }
+// path so far, published or not.
+func (p *Planner) RowsRLE() int64 { return p.rowsRLE }
 
-// decide routes one row and records the decision telemetry.
+// Flush implements core.Flusher: it adds the decisions tallied since
+// the last Flush to the registry attached with WithMetrics — one add
+// per counter and one Histogram.Merge. Without a registry it does
+// nothing.
+func (p *Planner) Flush() {
+	if p.histRatio == nil {
+		return
+	}
+	p.ctrPacked.Add(p.rowsPacked - p.pubPacked)
+	p.ctrRLE.Add(p.rowsRLE - p.pubRLE)
+	p.pubPacked, p.pubRLE = p.rowsPacked, p.rowsRLE
+	p.histRatio.Merge(p.ratioBands, p.ratioSum)
+	clear(p.ratioBands)
+	p.ratioSum = 0
+}
+
+// decide routes one row and tallies the decision.
 func (p *Planner) decide(k1, k2, width int) core.Route {
 	route := p.router.Decide(k1, k2, width)
 	if route == core.RoutePacked {
-		p.rowsPacked.Add(1)
-		if p.ctrPacked != nil {
-			p.ctrPacked.Inc()
-		}
+		p.rowsPacked++
 	} else {
-		p.rowsRLE.Add(1)
-		if p.ctrRLE != nil {
-			p.ctrRLE.Inc()
-		}
+		p.rowsRLE++
 	}
-	if p.histRatio != nil {
-		p.histRatio.Observe(p.router.Model.CostRatio(k1, k2, width))
+	if p.ratioBands != nil {
+		// The band Histogram.Observe would pick: the first bound ≥ r.
+		// The bounds are few, and sparse rows stop at the first.
+		r := p.router.Model.CostRatio(k1, k2, width)
+		i := 0
+		for i < len(CrossoverBuckets) && CrossoverBuckets[i] < r {
+			i++
+		}
+		p.ratioBands[i]++
+		p.ratioSum += r
 	}
 	return route
 }
 
 // XORRow implements Engine. The result row is freshly allocated and
-// remains valid after subsequent calls.
+// remains valid after subsequent calls. The decision is published at
+// once (Flush), as a one-row call has no row loop to publish it after.
 func (p *Planner) XORRow(a, b rle.Row) (core.Result, error) {
-	return p.XORRowAppend(nil, a, b)
+	res, err := p.XORRowAppend(nil, a, b)
+	p.Flush()
+	return res, err
 }
 
 // XORRowAppend implements AppendEngine: both paths append their

@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -202,4 +203,91 @@ func TestPlannerWarmAppendZeroAllocs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestPlannerPublishOnce: core.XORRows publishes a planner's routing
+// tallies once, after the image, not per row. A sink that reads the
+// registry at every row sees the value from before the image, and the
+// call returns with both row counters up by exactly H in total and
+// the crossover histogram up by H observations — on one worker, and
+// on two workers with one planner each.
+func TestPlannerPublishOnce(t *testing.T) {
+	const width, height = 2000, 96
+	rng := rand.New(rand.NewSource(5))
+	a, b := rle.NewImage(width, height), rle.NewImage(width, height)
+	for y := 0; y < height; y++ {
+		if y%32 < 16 { // sparse and dense bands exercise both routes
+			a.Rows[y], b.Rows[y] = randomFragmentedRow(rng, width)[:3], randomFragmentedRow(rng, width)[:2]
+		} else {
+			a.Rows[y], b.Rows[y] = denseRow(width, 0), denseRow(width, 1)
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		reg := telemetry.NewRegistry()
+		rows := func() int64 {
+			return reg.Counter(MetricRowsRLE).Value() + reg.Counter(MetricRowsPacked).Value()
+		}
+		ratio := reg.Histogram(MetricCrossoverRatio, CrossoverBuckets)
+		// One row through XORRow first: it publishes at once, so the
+		// image starts from a non-zero published value.
+		warm := New(WithMetrics(reg))
+		if _, err := warm.XORRow(a.Rows[0], b.Rows[0]); err != nil {
+			t.Fatal(err)
+		}
+		if got := rows(); got != 1 || ratio.Count() != 1 {
+			t.Fatalf("XORRow published %d rows, %d ratios; want 1, 1", got, ratio.Count())
+		}
+		engines := []*Planner{warm, New(WithMetrics(reg))}
+		before := rows()
+		_, err := core.XORRows(context.Background(), a, b, workers, func(w int) core.Engine { return engines[w] },
+			func(int) func(int, rle.Row) {
+				return func(y int, _ rle.Row) {
+					if got := rows(); workers == 1 && got != before {
+						t.Errorf("row %d: registry at %d rows mid-image, want %d", y, got, before)
+					}
+				}
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rows(); got != before+height {
+			t.Errorf("%d workers: rows counters rose by %d, want %d", workers, got-before, height)
+		}
+		if got := ratio.Count(); got != 1+height {
+			t.Errorf("%d workers: %s count rose by %d, want %d", workers, MetricCrossoverRatio, got-1, height)
+		}
+		if workers > 1 {
+			continue
+		}
+		if warm.RowsPacked() == 0 || warm.RowsRLE() == 0 {
+			t.Errorf("image routed %d rows packed, %d to the merge; want both", warm.RowsPacked(), warm.RowsRLE())
+		}
+		// The merged bands are the ones observing each row would fill.
+		wantReg := telemetry.NewRegistry()
+		observed := wantReg.Histogram(MetricCrossoverRatio, CrossoverBuckets)
+		model := core.DefaultRowCostModel()
+		for i := -1; i < height; i++ { // row 0 twice: XORRow, then the image
+			y := max(i, 0)
+			observed.Observe(model.CostRatio(len(a.Rows[y]), len(b.Rows[y]), packWidth(a.Rows[y], b.Rows[y])))
+		}
+		if got, want := bucketLines(t, reg), bucketLines(t, wantReg); got != want {
+			t.Errorf("crossover bands after the image:\n%s\nwant, as observed row by row:\n%s", got, want)
+		}
+	}
+}
+
+// bucketLines renders reg's crossover-ratio bucket lines.
+func bucketLines(t *testing.T, reg *telemetry.Registry) string {
+	t.Helper()
+	var buf strings.Builder
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(line, MetricCrossoverRatio+"_bucket") {
+			lines = append(lines, line)
+		}
+	}
+	return strings.Join(lines, "\n")
 }

@@ -19,6 +19,7 @@ import (
 	"sysrle/internal/perf"
 	"sysrle/internal/planner"
 	"sysrle/internal/rle"
+	"sysrle/internal/telemetry"
 )
 
 // post sends a multipart request and returns the 200 response's
@@ -189,6 +190,39 @@ func TestDiffStatHeadersPerEngine(t *testing.T) {
 	}
 	hdr, _ = post(t, srv.URL+"/v1/diff?format=rleb&engine=lockstep", files)
 	wantHeaders(t, hdr, "systolic-lockstep", lock.TotalIterations, lock.MaxRowIterations, lock.TotalCells, lock.MaxRowCells)
+}
+
+// plannerTallies reads the planner's published row count (both
+// routes) and crossover-ratio observation count.
+func plannerTallies(reg *telemetry.Registry) (rows, ratios int64) {
+	rows = reg.Counter(planner.MetricRowsRLE).Value() + reg.Counter(planner.MetricRowsPacked).Value()
+	return rows, reg.Histogram(planner.MetricCrossoverRatio, planner.CrossoverBuckets).Count()
+}
+
+// TestPlannerTalliesPublishedPerRequest: one /v1/diff or /v1/inspect
+// of an H-row image on the default planner has published exactly H
+// routing decisions and H crossover ratios by the time it answers.
+func TestPlannerTalliesPublishedPerRequest(t *testing.T) {
+	srv, reg := newRegistryServer(t, Config{})
+	const height = 48
+	pair, err := perf.GeneratePair("sweep-cross", 640, height, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []struct {
+		path string
+		form map[string]*rle.Image
+	}{
+		{"/v1/diff?format=rleb", map[string]*rle.Image{"a": pair.A, "b": pair.B}},
+		{"/v1/inspect", map[string]*rle.Image{"ref": pair.A, "scan": pair.B}},
+	} {
+		rows, ratios := plannerTallies(reg)
+		post(t, srv.URL+req.path, req.form)
+		gotRows, gotRatios := plannerTallies(reg)
+		if gotRows-rows != height || gotRatios-ratios != height {
+			t.Errorf("%s: planner published %d rows and %d ratios, want %d each", req.path, gotRows-rows, gotRatios-ratios, height)
+		}
+	}
 }
 
 // rowEnd is one past a row's rightmost pixel (0 for an empty row).

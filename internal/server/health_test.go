@@ -14,6 +14,7 @@ import (
 	"sysrle/internal/jobs"
 	"sysrle/internal/perf"
 	"sysrle/internal/rle"
+	"sysrle/internal/telemetry"
 )
 
 // getReadyz fetches /readyz and decodes the per-probe breakdown.
@@ -221,6 +222,36 @@ func TestFaultInjectionEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(string(metrics), "sysrle_fault_recovered_total") {
 		t.Error("metrics missing sysrle_fault_recovered_total")
+	}
+}
+
+// TestFaultInjectionPublishesPlannerTallies: in chaos mode a job's
+// planner runs inside the verified and fault-injecting wrappers, which
+// forward the row loop's flush to it, so its routing decisions reach
+// the registry: one per scanned row. The faults drawn here all let the
+// planner run its row before corrupting the answer.
+func TestFaultInjectionPublishesPlannerTallies(t *testing.T) {
+	plan := fault.Plan{Seed: 3, Rate: 0.5, Kinds: []fault.Kind{fault.KindCorruptRun, fault.KindDropRun, fault.KindStuckEmpty}}
+	reg := telemetry.NewRegistry()
+	s := NewWith(Config{JobWorkers: 1, FaultPlan: &plan, Registry: reg})
+	defer s.Close()
+	const height = 40
+	ref, scan := flatImages(height)
+	rows, ratios := plannerTallies(reg)
+	id, err := s.jobs.Submit(jobs.Spec{Ref: ref, Scans: []*rle.Image{scan, ref.Clone()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitJob(t, s, id); st.State != jobs.StateDone {
+		t.Fatalf("chaos job state = %s (results %+v)", st.State, st.Results)
+	}
+	if reg.Counter("sysrle_fault_recovered_total").Value() == 0 {
+		t.Fatal("no fault was injected and recovered; the plan does not exercise the wrappers")
+	}
+	gotRows, gotRatios := plannerTallies(reg)
+	if gotRows-rows != 2*height || gotRatios-ratios != 2*height {
+		t.Errorf("planner published %d rows and %d ratios over 2 scans of %d rows, want %d each",
+			gotRows-rows, gotRatios-ratios, height, 2*height)
 	}
 }
 

@@ -98,6 +98,34 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v) // first bound ≥ v
 	h.buckets[i].Add(1)
 	h.count.Add(1)
+	h.addSum(v)
+}
+
+// Merge records a batch of observations tallied elsewhere: counts[i]
+// of them fell in band i, the band Observe would have picked (one per
+// bound, then +Inf, so len(counts) is one more than the number of
+// bounds), and their values add up to sum. It costs one atomic add per
+// non-empty band, one for the count and one sum CAS, however large the
+// batch. Negative counts are ignored, as in Counter.Add.
+func (h *Histogram) Merge(counts []int64, sum float64) {
+	if len(counts) != len(h.buckets) {
+		panic(fmt.Sprintf("telemetry: Merge of %d bands into a histogram of %d", len(counts), len(h.buckets)))
+	}
+	var n int64
+	for i, c := range counts {
+		if c > 0 {
+			h.buckets[i].Add(c)
+			n += c
+		}
+	}
+	if n > 0 {
+		h.count.Add(n)
+		h.addSum(sum)
+	}
+}
+
+// addSum adds v to the observation sum.
+func (h *Histogram) addSum(v float64) {
 	for {
 		old := h.sumBits.Load()
 		nw := math.Float64bits(math.Float64frombits(old) + v)

@@ -76,6 +76,35 @@ func TestHistogramBoundaryGoesToLowerBucket(t *testing.T) {
 	}
 }
 
+// TestHistogramMergeMatchesObserve: merging a batch tallied per band
+// leaves the histogram as observing each value would, and a batch of
+// the wrong shape is refused.
+func TestHistogramMergeMatchesObserve(t *testing.T) {
+	r := NewRegistry()
+	bounds := []float64{0.01, 0.1, 1}
+	obs, merged := r.Histogram("observed", bounds), r.Histogram("merged", bounds)
+	values := []float64{0.005, 0.05, 0.05, 1, 5, 7}
+	for _, v := range values {
+		obs.Observe(v)
+	}
+	merged.Merge([]int64{1, 2, 1, 2}, 0.005+0.05+0.05+1+5+7)
+	merged.Merge([]int64{0, 0, 0, 0}, 0) // an empty batch is a no-op
+	if merged.Count() != obs.Count() || merged.Sum() != obs.Sum() {
+		t.Errorf("merged count %d sum %g, observed count %d sum %g", merged.Count(), merged.Sum(), obs.Count(), obs.Sum())
+	}
+	for i, want := range obs.cumulative() {
+		if got := merged.cumulative()[i]; got != want {
+			t.Errorf("bucket %d cumulative = %d, want %d", i, got, want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Merge accepted 3 bands for a 3-bound histogram (want 4)")
+		}
+	}()
+	merged.Merge([]int64{1, 1, 1}, 1)
+}
+
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("http_requests_total", L("endpoint", "/v1/diff"), L("class", "2xx")).Add(3)
