@@ -201,8 +201,14 @@ type Router struct {
 // Decide routes one row from its operand run counts and width,
 // updating the hysteresis state.
 func (r *Router) Decide(k1, k2, width int) Route {
-	merge := r.Model.MergeCost(k1, k2)
-	packed := r.Model.PackedCost(k1, k2, width)
+	return r.DecidePriced(r.Model.MergeCost(k1, k2), r.Model.PackedCost(k1, k2, width))
+}
+
+// DecidePriced is Decide on a row already priced by Model: merge and
+// packed are its MergeCost and PackedCost. A caller that needs the
+// prices for more than the route (the planner's crossover histogram
+// takes their PriceRatio) computes them once.
+func (r *Router) DecidePriced(merge, packed float64) Route {
 	h := r.Hysteresis
 	if h < 0 {
 		h = 0
@@ -234,8 +240,11 @@ func (r *Router) Decide(k1, k2, width int) Route {
 // model favours the packed path). Rows where both paths price zero
 // report 1 (indifferent).
 func (m RowCostModel) CostRatio(k1, k2, width int) float64 {
-	merge := m.MergeCost(k1, k2)
-	packed := m.PackedCost(k1, k2, width)
+	return PriceRatio(m.MergeCost(k1, k2), m.PackedCost(k1, k2, width))
+}
+
+// PriceRatio is CostRatio on a row's two prices.
+func PriceRatio(merge, packed float64) float64 {
 	if packed <= 0 {
 		if merge <= 0 {
 			return 1

@@ -87,8 +87,8 @@ func diffRequest(tb testing.TB, s *server.Server, path string, parts map[string]
 // construction, skip the engines' operand check, and a format=rleb
 // answer is encoded as it goes into a second pooled buffer. Neither
 // operand nor the difference is built as an rle.Image. The ref-routed
-// 1024² similar scan costs ~175 allocations and ~51 KB, the inline
-// 512² random pair ~194 and ~78 KB (go1.24, amd64), most of it the
+// 1024² similar scan costs ~171 allocations and ~49 KB, the inline
+// 512² random pair ~187 and ~75 KB (go1.24, amd64), most of it the
 // multipart reader and the recorder's copy of the answer. Reading the
 // form into its own buffers and copying each part out again, as the
 // shard once did, cost ~310 and ~285 KB; decoding the scan into an

@@ -217,9 +217,12 @@ func (p *Planner) Flush() {
 	p.ratioSum = 0
 }
 
-// decide routes one row and tallies the decision.
+// decide routes one row and tallies the decision. The row is priced
+// once, for the route and the crossover ratio alike.
 func (p *Planner) decide(k1, k2, width int) core.Route {
-	route := p.router.Decide(k1, k2, width)
+	m := &p.router.Model
+	merge, packed := m.MergeCost(k1, k2), m.PackedCost(k1, k2, width)
+	route := p.router.DecidePriced(merge, packed)
 	if route == core.RoutePacked {
 		p.rowsPacked++
 	} else {
@@ -228,7 +231,7 @@ func (p *Planner) decide(k1, k2, width int) core.Route {
 	if p.ratioBands != nil {
 		// The band Histogram.Observe would pick: the first bound ≥ r.
 		// The bounds are few, and sparse rows stop at the first.
-		r := p.router.Model.CostRatio(k1, k2, width)
+		r := core.PriceRatio(merge, packed)
 		i := 0
 		for i < len(CrossoverBuckets) && CrossoverBuckets[i] < r {
 			i++

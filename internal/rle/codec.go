@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -167,13 +168,18 @@ func AppendBinaryHeader(dst []byte, width, height int) []byte {
 // AppendBinaryRow appends one row's RLEB encoding to dst: the run
 // count, then each run's gap from the previous run's end and its
 // length. A stream is AppendBinaryHeader followed by every row in
-// order.
+// order. A run whose gap and length are both one-byte uvarints is
+// written as two plain bytes.
 func AppendBinaryRow(dst []byte, row Row) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(row)))
 	pos := 0
 	for _, r := range row {
-		dst = binary.AppendUvarint(dst, uint64(r.Start-pos))
-		dst = binary.AppendUvarint(dst, uint64(r.Length))
+		gap, length := uint64(r.Start-pos), uint64(r.Length)
+		if gap|length < 0x80 {
+			dst = append(dst, byte(gap), byte(length))
+		} else {
+			dst = binary.AppendUvarint(binary.AppendUvarint(dst, gap), length)
+		}
 		pos = r.Start + r.Length
 	}
 	return dst
@@ -222,12 +228,11 @@ func NewRowDecoder(data []byte) (*RowDecoder, error) {
 	if len(data) < len(binaryMagic) || string(data[:len(binaryMagic)]) != binaryMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrFormat)
 	}
-	d := &RowDecoder{data: data, off: len(binaryMagic)}
-	width, err := d.uvarint()
+	width, off, err := uvarintAt(data, len(binaryMagic))
 	if err != nil {
 		return nil, fmt.Errorf("rle: reading width: %w", err)
 	}
-	height, err := d.uvarint()
+	height, off, err := uvarintAt(data, off)
 	if err != nil {
 		return nil, fmt.Errorf("rle: reading height: %w", err)
 	}
@@ -236,30 +241,27 @@ func NewRowDecoder(data []byte) (*RowDecoder, error) {
 	if err := checkDimensions(int(width), int(height)); err != nil {
 		return nil, err
 	}
-	if rest := len(data) - d.off; height > uint64(rest) {
+	if rest := len(data) - off; height > uint64(rest) {
 		return nil, fmt.Errorf("rle: %d rows in %d bytes: %w", height, rest, io.ErrUnexpectedEOF)
 	}
-	d.Width, d.Height = int(width), int(height)
-	return d, nil
+	return &RowDecoder{Width: int(width), Height: int(height), data: data, off: off}, nil
 }
 
-// uvarint reads the next uvarint, with a fast path for the one-byte
-// values that make up most of a stream.
-func (d *RowDecoder) uvarint() (uint64, error) {
-	if d.off < len(d.data) && d.data[d.off] < 0x80 {
-		d.off++
-		return uint64(d.data[d.off-1]), nil
+// uvarintAt reads the uvarint at data[off:] and returns it with the
+// offset just past it.
+func uvarintAt(data []byte, off int) (uint64, int, error) {
+	if off < len(data) && data[off] < 0x80 {
+		return uint64(data[off]), off + 1, nil
 	}
-	v, n := binary.Uvarint(d.data[d.off:])
+	v, n := binary.Uvarint(data[off:])
 	if n <= 0 {
-		return 0, errVarint
+		return 0, off, errVarint
 	}
-	d.off += n
-	return v, nil
+	return v, off + n, nil
 }
 
-// Next appends the next row's runs to dst. An error is sticky: every
-// later call returns it again.
+// Next appends the next row's runs to dst; on an error it appends
+// nothing. An error is sticky: every later call returns it again.
 func (d *RowDecoder) Next(dst Row) (Row, error) {
 	if d.err == nil {
 		dst, d.err = d.next(dst)
@@ -267,27 +269,48 @@ func (d *RowDecoder) Next(dst Row) (Row, error) {
 	return dst, d.err
 }
 
+// next decodes one row with the stream and its offset in locals. Under
+// the §5 input model nearly every gap and length is below 0x80, so a
+// run whose two uvarints are both one byte is read in one step; any
+// other run reads each with binary.Uvarint. dst grows once by the run
+// count, but only when the remaining bytes can back it (every run
+// takes at least two): a forged count sizes nothing, and its row fails
+// before it would have filled that room. The loop calls nothing but
+// its error exits, so its state stays in registers.
 func (d *RowDecoder) next(dst Row) (Row, error) {
 	y, width := d.y, uint64(d.Width)
 	if y >= d.Height {
 		return dst, fmt.Errorf("rle: row %d past height %d", y, d.Height)
 	}
-	count, err := d.uvarint()
+	data := d.data
+	count, off, err := uvarintAt(data, d.off)
 	if err != nil {
 		return dst, fmt.Errorf("rle: row %d count: %w", y, err)
 	}
 	if count > width {
 		return dst, fmt.Errorf("rle: row %d: %d runs exceed width %d", y, count, width)
 	}
+	var runs Row // room for the row's runs, empty if the bytes cannot back count
+	if count <= uint64(len(data)-off)/2 {
+		dst = slices.Grow(dst, int(count))
+		runs = dst[len(dst) : len(dst)+int(count)]
+	}
 	pos := 0
-	for i := uint64(0); i < count; i++ {
-		gap, err := d.uvarint()
-		if err != nil {
-			return dst, fmt.Errorf("rle: row %d run %d gap: %w", y, i, err)
-		}
-		length, err := d.uvarint()
-		if err != nil {
-			return dst, fmt.Errorf("rle: row %d run %d length: %w", y, i, err)
+	for i := range int(count) {
+		var gap, length uint64
+		if off+1 < len(data) && data[off]|data[off+1] < 0x80 {
+			gap, length = uint64(data[off]), uint64(data[off+1])
+			off += 2
+		} else {
+			var n int
+			if gap, n = binary.Uvarint(data[off:]); n <= 0 {
+				return dst, fmt.Errorf("rle: row %d run %d gap: %w", y, i, errVarint)
+			}
+			off += n
+			if length, n = binary.Uvarint(data[off:]); n <= 0 {
+				return dst, fmt.Errorf("rle: row %d run %d length: %w", y, i, errVarint)
+			}
+			off += n
 		}
 		// Reject runs that could not fit in the row before doing any
 		// int arithmetic on them: huge uvarints would overflow.
@@ -298,10 +321,12 @@ func (d *RowDecoder) next(dst Row) (Row, error) {
 		if pos = start + int(length); pos > d.Width {
 			return dst, fmt.Errorf("rle: row %d run %d: extends to %d beyond width %d", y, i, pos-1, width)
 		}
-		dst = append(dst, Run{Start: start, Length: int(length)})
+		if i < len(runs) {
+			runs[i] = Run{Start: start, Length: int(length)}
+		}
 	}
-	d.y++
-	return dst, nil
+	d.off, d.y = off, y+1
+	return dst[:len(dst)+len(runs)], nil
 }
 
 // Size returns the image's dimensions.

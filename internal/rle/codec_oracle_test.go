@@ -142,6 +142,9 @@ func FuzzRowDecoderRowsValid(f *testing.F) {
 	}
 	// Adjacent runs (gap 0) and a run ending on the last pixel.
 	f.Add(AppendBinaryRow(AppendBinaryHeader(nil, 8, 1), Row{{Start: 0, Length: 4}, {Start: 4, Length: 4}}))
+	for _, data := range boundaryStreams() {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := NewRowDecoder(data)
 		if err != nil {
@@ -173,7 +176,9 @@ func FuzzDecodeBinary(f *testing.F) {
 		}
 	}
 	f.Add([]byte("RLEB"))
-	f.Add([]byte("RLEB\x08\x01\x01\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"))
+	for _, data := range boundaryStreams() {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, wantErr := readBinaryOracle(bytes.NewReader(data))
 		got, err := DecodeBinary(data)
