@@ -98,10 +98,11 @@ calibrate:
 # assertions over the hot paths, the sweep-endpoint wall-clock gate,
 # the sparse-A4 opening gate, the row-loop scheduling-overhead gate,
 # the streamed /v1/diff allocation gate, ref-routed and inline, the
+# inspect allocation gate (one 128² similar-pair Compare), the
 # planner's publish-once gate and the warm RLEB codec's zero-allocation
 # gate (mirrors the ci.yml perf-smoke job).
 perf-smoke:
-	$(GO) test -run 'AllocReduction|ZeroAllocs|BinaryCodecWarm|StreamAllocs|PlannerSmoke|PublishOnce|RunmorphSmoke|SchedulingOverhead' -v \
+	$(GO) test -run 'AllocReduction|ZeroAllocs|BinaryCodecWarm|StreamAllocs|InspectCompareAllocs|PlannerSmoke|PublishOnce|RunmorphSmoke|SchedulingOverhead' -v \
 		./internal/perf/ ./internal/core/ ./internal/planner/ ./internal/rle/
 
 # Regenerate every paper table and figure (see EXPERIMENTS.md).

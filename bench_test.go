@@ -260,6 +260,39 @@ func BenchmarkPCBInspection(b *testing.B) {
 	}
 }
 
+// BenchmarkInspectSimilar128 measures one Inspector.Compare in the
+// end-to-end benchmark's batch-job shape: a 128² §5 reference against
+// a scan with ~1% of each row flipped in error runs of 2–6 pixels
+// (~120 defects each), cycling over eight such scans.
+func BenchmarkInspectSimilar128(b *testing.B) {
+	rng := rand.New(rand.NewSource(25))
+	ref, err := workload.GenerateImage(rng, workload.PaperRow(128, 0.3), 128)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ep := workload.CountForPixelFraction(128, 0.01, 2, 6)
+	ep.Count = max(ep.Count, 1) // one error run per row
+	scans := make([]*rle.Image, 8)
+	for i := range scans {
+		scans[i] = rle.NewImage(128, 128)
+		for y, row := range ref.Rows {
+			mask, err := workload.ErrorMask(rng, 128, ep)
+			if err != nil {
+				b.Fatal(err)
+			}
+			scans[i].Rows[y] = rle.XOR(row, mask)
+		}
+	}
+	ins := &inspect.Inspector{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ins.Compare(ref, scans[i%len(scans)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkMorphology measures compressed-domain open/close on a
 // generated image (the intro's "morphological operations" in RLE).
 func BenchmarkMorphology(b *testing.B) {

@@ -1,7 +1,8 @@
 package inspect
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"sysrle/internal/rle"
 )
@@ -30,115 +31,110 @@ type LabeledRun struct {
 	Run rle.Run
 }
 
-// unionFind is a standard weighted union-find with path compression.
-type unionFind struct {
-	parent []int
-	rank   []int
+// labeler is run-based labelling scratch reused from one image to
+// the next: runs get flat ids in scan order (row y's runs are
+// first[y]…first[y+1]-1) and a union-find over those ids.
+type labeler struct {
+	first, parent, label []int
 }
 
-func newUnionFind() *unionFind { return &unionFind{} }
-
-func (u *unionFind) makeSet() int {
-	id := len(u.parent)
-	u.parent = append(u.parent, id)
-	u.rank = append(u.rank, 0)
-	return id
-}
-
-func (u *unionFind) find(x int) int {
-	for u.parent[x] != x {
-		u.parent[x] = u.parent[u.parent[x]] // path halving
-		x = u.parent[x]
+// run labels img's runs and returns the component count; afterwards
+// label[id] is run id's component, numbered in order of each
+// component's first run in scan order.
+func (l *labeler) run(img *rle.Image) int {
+	l.first = append(slices.Grow(l.first[:0], len(img.Rows)+1), 0)
+	for _, row := range img.Rows {
+		l.first = append(l.first, l.first[len(l.first)-1]+len(row))
 	}
-	return x
-}
-
-func (u *unionFind) union(a, b int) {
-	ra, rb := u.find(a), u.find(b)
-	if ra == rb {
-		return
+	n := l.first[len(img.Rows)]
+	l.parent = slices.Grow(l.parent[:0], n)
+	for id := 0; id < n; id++ {
+		l.parent = append(l.parent, id)
 	}
-	if u.rank[ra] < u.rank[rb] {
-		ra, rb = rb, ra
-	}
-	u.parent[rb] = ra
-	if u.rank[ra] == u.rank[rb] {
-		u.rank[ra]++
-	}
-}
-
-// Components labels the image's connected components
-// (8-connectivity) and returns them sorted by first appearance (top
-// to bottom, left to right).
-func Components(img *rle.Image) []Component {
-	uf := newUnionFind()
-	// ids[y][i] is the set id of run i in row y.
-	ids := make([][]int, img.Height)
-	for y, row := range img.Rows {
-		ids[y] = make([]int, len(row))
-		for i := range row {
-			ids[y][i] = uf.makeSet()
-		}
-		if y == 0 {
-			continue
-		}
+	for y := 1; y < len(img.Rows); y++ {
 		prev := img.Rows[y-1]
 		// Merge runs that touch a run in the previous row. With
 		// 8-connectivity, run [s,e] touches previous-row run
 		// [s',e'] iff s' ≤ e+1 and e' ≥ s-1. Both rows are sorted,
 		// so sweep with two indices.
 		j := 0
-		for i, r := range row {
+		for i, r := range img.Rows[y] {
 			for j < len(prev) && prev[j].End() < r.Start-1 {
 				j++
 			}
-			k := j
-			for k < len(prev) && prev[k].Start <= r.End()+1 {
-				uf.union(ids[y][i], ids[y-1][k])
-				k++
+			for k := j; k < len(prev) && prev[k].Start <= r.End()+1; k++ {
+				l.union(l.first[y]+i, l.first[y-1]+k)
 			}
 		}
 	}
-	// Second pass: group runs by set root.
-	byRoot := map[int]*Component{}
-	var order []int
+	l.label = slices.Grow(l.label[:0], n)
+	count := 0
+	for id := 0; id < n; id++ {
+		if root := l.find(id); root < id {
+			l.label = append(l.label, l.label[root])
+		} else {
+			l.label = append(l.label, count)
+			count++
+		}
+	}
+	return count
+}
+
+// find returns x's root, halving the path on the way.
+func (l *labeler) find(x int) int {
+	p := l.parent
+	for p[x] != x {
+		p[x] = p[p[x]]
+		x = p[x]
+	}
+	return x
+}
+
+// union joins two sets under the smaller root, so that every root is
+// its set's first run in scan order.
+func (l *labeler) union(a, b int) {
+	ra, rb := l.find(a), l.find(b)
+	if ra > rb {
+		ra, rb = rb, ra
+	}
+	l.parent[rb] = ra
+}
+
+// Components labels the image's connected components
+// (8-connectivity) and returns them sorted by first appearance (top
+// to bottom, left to right).
+func Components(img *rle.Image) []Component {
+	var l labeler
+	comps := make([]Component, l.run(img))
+	// Label counts each component's runs until the labels are dealt.
 	for y, row := range img.Rows {
 		for i, r := range row {
-			root := uf.find(ids[y][i])
-			c, ok := byRoot[root]
-			if !ok {
-				c = &Component{X0: r.Start, Y0: y, X1: r.End(), Y1: y}
-				byRoot[root] = c
-				order = append(order, root)
+			c := &comps[l.label[l.first[y]+i]]
+			if c.Label == 0 {
+				c.X0, c.Y0, c.X1 = r.Start, y, r.End()
 			}
+			c.Label++
 			c.Area += r.Length
-			if r.Start < c.X0 {
-				c.X0 = r.Start
-			}
-			if r.End() > c.X1 {
-				c.X1 = r.End()
-			}
-			if y < c.Y0 {
-				c.Y0 = y
-			}
-			if y > c.Y1 {
-				c.Y1 = y
-			}
+			c.X0, c.X1, c.Y1 = min(c.X0, r.Start), max(c.X1, r.End()), y
+		}
+	}
+	// Every component's runs share one backing array, each slice
+	// capacity-clipped so appending to one never clobbers the next.
+	runs := make([]LabeledRun, l.first[len(img.Rows)])
+	for k := range comps {
+		comps[k].Runs, runs = runs[:0:comps[k].Label], runs[comps[k].Label:]
+	}
+	for y, row := range img.Rows {
+		for i, r := range row {
+			c := &comps[l.label[l.first[y]+i]]
 			c.Runs = append(c.Runs, LabeledRun{Y: y, Run: r})
 		}
 	}
-	out := make([]Component, 0, len(order))
-	for _, root := range order {
-		out = append(out, *byRoot[root])
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Y0 != out[j].Y0 {
-			return out[i].Y0 < out[j].Y0
-		}
-		return out[i].X0 < out[j].X0
+	slices.SortFunc(comps, func(a, b Component) int {
+		return cmp.Or(cmp.Compare(a.Y0, b.Y0), cmp.Compare(a.X0, b.X0))
 	})
-	for i := range out {
-		out[i].Label = i
+	for i := range comps {
+		comps[i].Label = i
 	}
-	return out
+	return comps
 }

@@ -23,100 +23,133 @@ import (
 
 const classifyMargin = 3
 
-// blobWindow crops the reference around the blob's bounding box
-// (with margin) and renders the blob itself into the same window
-// coordinates.
-func blobWindow(ref *rle.Image, comp Component) (win, blob *rle.Image) {
+// classifier is one comparison's classification scratch: window-sized
+// images and labelling state reused from one defect to the next, so a
+// defect costs work in proportion to its window and allocates only
+// when its window needs more room than every earlier one.
+type classifier struct {
+	ref *rle.Image
+	op  runmorph.Op
+	// win is the reference around the blob, blob the blob itself and
+	// grown the blob dilated by a 3×3 box, all in window coordinates;
+	// part is one reference component and rest what the blob leaves of
+	// it.
+	win, blob, grown, part, rest rle.Image
+	hasGrown                     bool
+	winCCL, restCCL              labeler
+	hit                          []bool
+	scratch                      rle.Row
+}
+
+// classify returns a difference blob's polarity (Defect.Kind) and its
+// specific label (Defect.Type).
+func (c *classifier) classify(comp Component) (kind, label string) {
+	// Polarity: differing pixels that are reference-foreground were
+	// removed by the scan.
+	missing := 0
+	for _, lr := range comp.Runs {
+		missing += overlap(c.ref.Row(lr.Y), lr.Run)
+	}
+	c.window(comp)
+	if 2*missing >= comp.Area {
+		return "missing-copper", c.removed()
+	}
+	return "extra-copper", c.added()
+}
+
+// window crops the reference around the blob's bounding box (with
+// margin), copying only the runs that reach into it, and renders the
+// blob into the same window coordinates.
+func (c *classifier) window(comp Component) {
 	x0 := comp.X0 - classifyMargin
 	y0 := comp.Y0 - classifyMargin
 	w := comp.X1 - comp.X0 + 1 + 2*classifyMargin
 	h := comp.Y1 - comp.Y0 + 1 + 2*classifyMargin
-	win, err := rle.Crop(ref, x0, y0, w, h)
-	if err != nil {
-		panic(err) // dimensions are positive by construction
-	}
-	blob = rle.NewImage(w, h)
-	for _, lr := range comp.Runs {
-		y := lr.Y - y0
-		shifted := rle.Row{lr.Run}.Shift(-x0).Clip(w)
-		blob.Rows[y] = rle.OR(blob.Rows[y], shifted)
-	}
-	return win, blob
-}
-
-// overlapsImage reports whether component c (in window coordinates)
-// shares a pixel with img.
-func overlapsImage(c Component, img *rle.Image) bool {
-	for _, lr := range c.Runs {
-		if rle.AND(img.Row(lr.Y), rle.Row{lr.Run}).Area() > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// componentImage renders one component into an empty image of the
-// given size.
-func componentImage(c Component, w, h int) *rle.Image {
-	img := rle.NewImage(w, h)
-	for _, lr := range c.Runs {
-		img.Rows[lr.Y] = rle.OR(img.Rows[lr.Y], rle.Row{lr.Run})
-	}
-	return img
-}
-
-// classifyDetailed returns the specific defect label for a
-// difference blob.
-func classifyDetailed(ref *rle.Image, comp Component) string {
-	win, blob := blobWindow(ref, comp)
-
-	// Polarity: differing pixels that are reference-foreground were
-	// removed by the scan.
-	missing := 0
-	for y := range blob.Rows {
-		missing += rle.AND(win.Rows[y], blob.Rows[y]).Area()
-	}
-	removed := 2*missing >= comp.Area
-
-	grown, err := runmorph.Dilate(blob, runmorph.Box(1))
-	if err != nil {
-		panic(err)
-	}
-
-	if !removed {
-		// Added copper: how many distinct reference components does
-		// the (slightly grown) blob touch?
-		touched := 0
-		for _, c := range Components(win) {
-			if overlapsImage(c, grown) {
-				touched++
+	c.win.Reset(w, h)
+	c.blob.Reset(w, h)
+	c.hasGrown = false
+	for y := range c.win.Rows {
+		for _, r := range c.ref.Row(y0 + y) {
+			if r.Start-x0 >= w {
+				break
+			}
+			if s, e := max(r.Start-x0, 0), min(r.End()-x0, w-1); s <= e {
+				c.win.Rows[y] = append(c.win.Rows[y], rle.Span(s, e))
 			}
 		}
-		switch {
-		case touched >= 2:
-			return "short"
-		case touched == 1:
-			return "spur"
-		default:
-			return "extra-copper"
+	}
+	for _, lr := range comp.Runs {
+		y := lr.Y - y0
+		c.blob.Rows[y] = append(c.blob.Rows[y], rle.Run{Start: lr.Run.Start - x0, Length: lr.Run.Length})
+	}
+}
+
+// grow returns the blob dilated by a 3×3 box, computed once per blob.
+func (c *classifier) grow() *rle.Image {
+	if !c.hasGrown {
+		if err := c.op.DilateInto(&c.grown, &c.blob, runmorph.Box(1)); err != nil {
+			panic(err)
+		}
+		c.hasGrown = true
+	}
+	return &c.grown
+}
+
+// touching labels the window's reference components and reports,
+// per component, whether one of its runs shares a pixel with img.
+func (c *classifier) touching(img *rle.Image) []bool {
+	c.hit = append(c.hit[:0], make([]bool, c.winCCL.run(&c.win))...)
+	for y, row := range c.win.Rows {
+		for i, r := range row {
+			if overlap(img.Rows[y], r) > 0 {
+				c.hit[c.winCCL.label[c.winCCL.first[y]+i]] = true
+			}
 		}
 	}
+	return c.hit
+}
 
-	// Removed copper: inspect each reference component the blob
-	// overlaps.
+// added labels a blob of added copper by how many distinct reference
+// components the (slightly grown) blob touches.
+func (c *classifier) added() string {
+	touched := 0
+	for _, t := range c.touching(c.grow()) {
+		if t {
+			touched++
+		}
+	}
+	switch {
+	case touched >= 2:
+		return "short"
+	case touched == 1:
+		return "spur"
+	default:
+		return "extra-copper"
+	}
+}
+
+// removed labels a blob of removed copper by what it leaves of each
+// reference component it overlaps.
+func (c *classifier) removed() string {
 	consumed, split, interior := false, false, false
 	overlappedAny := false
-	for _, c := range Components(win) {
-		if !overlapsImage(c, blob) {
+	w, h := c.win.Width, c.win.Height
+	for k, hit := range c.touching(&c.blob) {
+		if !hit {
 			continue
 		}
 		overlappedAny = true
-		cImg := componentImage(c, win.Width, win.Height)
-		remainder := rle.NewImage(win.Width, win.Height)
-		for y := range cImg.Rows {
-			remainder.Rows[y] = rle.AndNot(cImg.Rows[y], blob.Rows[y])
+		c.part.Reset(w, h)
+		c.rest.Reset(w, h)
+		for y, row := range c.win.Rows {
+			for i, r := range row {
+				if c.winCCL.label[c.winCCL.first[y]+i] == k {
+					c.part.Rows[y] = append(c.part.Rows[y], r)
+				}
+			}
+			c.rest.Rows[y] = rle.AppendAndNot(c.rest.Rows[y], c.part.Rows[y], c.blob.Rows[y])
 		}
-		switch pieces := len(Components(remainder)); {
+		switch pieces := c.restCCL.run(&c.rest); {
 		case pieces == 0:
 			consumed = true
 		case pieces >= 2:
@@ -125,8 +158,8 @@ func classifyDetailed(ref *rle.Image, comp Component) string {
 			// One piece: interior hole or edge bite? Interior iff
 			// even the grown blob stays inside the component.
 			inside := true
-			for y := range grown.Rows {
-				if rle.AndNot(grown.Rows[y], cImg.Rows[y]).Area() > 0 {
+			for y, row := range c.grow().Rows {
+				if c.scratch = rle.AppendAndNot(c.scratch[:0], row, c.part.Rows[y]); len(c.scratch) > 0 {
 					inside = false
 					break
 				}
@@ -148,4 +181,16 @@ func classifyDetailed(ref *rle.Image, comp Component) string {
 	default:
 		return "mousebite"
 	}
+}
+
+// overlap returns the number of pixels run r shares with row.
+func overlap(row rle.Row, r rle.Run) int {
+	n := 0
+	for _, q := range row {
+		if q.Start > r.End() {
+			break
+		}
+		n += max(0, min(q.End(), r.End())-max(q.Start, r.Start)+1)
+	}
+	return n
 }

@@ -1,9 +1,10 @@
 package inspect
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"sysrle/internal/core"
 	"sysrle/internal/planner"
@@ -137,40 +138,28 @@ func (ins *Inspector) CompareContext(ctx context.Context, ref, scan *rle.Image) 
 		rep.DiffArea += row.Area()
 	}
 
-	for _, comp := range Components(diff) {
+	comps := Components(diff)
+	cl := classifier{ref: ref}
+	for _, comp := range comps {
 		if comp.Area < ins.MinDefectArea {
 			continue
 		}
+		if rep.Defects == nil {
+			rep.Defects = make([]Defect, 0, len(comps))
+		}
+		kind, label := cl.classify(comp)
 		rep.Defects = append(rep.Defects, Defect{
-			Kind: classify(ref, comp),
-			Type: classifyDetailed(ref, comp),
+			Kind: kind,
+			Type: label,
 			X0:   comp.X0, Y0: comp.Y0, X1: comp.X1, Y1: comp.Y1,
 			Area:  comp.Area,
 			Shape: ComputeFeatures(comp),
 		})
 	}
-	sort.Slice(rep.Defects, func(i, j int) bool {
-		if rep.Defects[i].Y0 != rep.Defects[j].Y0 {
-			return rep.Defects[i].Y0 < rep.Defects[j].Y0
-		}
-		return rep.Defects[i].X0 < rep.Defects[j].X0
+	slices.SortFunc(rep.Defects, func(a, b Defect) int {
+		return cmp.Or(cmp.Compare(a.Y0, b.Y0), cmp.Compare(a.X0, b.X0))
 	})
 	return rep, nil
-}
-
-// classify decides a blob's polarity by majority vote of its pixels
-// against the reference: differing pixels that are foreground in the
-// reference are copper the scan lost.
-func classify(ref *rle.Image, comp Component) string {
-	missing := 0
-	for _, lr := range comp.Runs {
-		refRow := ref.Row(lr.Y)
-		missing += rle.AND(refRow, rle.Row{lr.Run}).Area()
-	}
-	if 2*missing >= comp.Area {
-		return "missing-copper"
-	}
-	return "extra-copper"
 }
 
 // FormatReport renders a human-readable summary.

@@ -72,6 +72,82 @@ func TestArenaManyRowsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestArenaGrowsGeometrically pins the growth rule: a fresh arena's
+// first chunk holds max(16, 4n) runs for a first row of n runs, and k
+// tiny rows then cost a number of chunks logarithmic in k until the
+// cap is reached.
+func TestArenaGrowsGeometrically(t *testing.T) {
+	tiny := Row{{0, 1}, {3, 2}}
+	for _, a := range []*Arena{NewArena(0), {}} {
+		a.Persist(tiny)
+		if got, limit := len(a.chunk)+len(tiny), max(16, 4*len(tiny)); got > limit {
+			t.Fatalf("first chunk holds %d runs for a %d-run row, want ≤ %d", got, len(tiny), limit)
+		}
+	}
+	for _, k := range []int{1, 10, 100, 1000} {
+		allocs := testing.AllocsPerRun(5, func() {
+			var a Arena
+			for i := 0; i < k; i++ {
+				a.Persist(tiny)
+			}
+		})
+		// Chunks of 16, 32, … 1024 runs, then 1024 each: ⌈log2⌉ of the
+		// runs persisted, plus one chunk per full cap beyond.
+		runs := k * len(tiny)
+		limit := 1
+		for size, total := 16, 16; total < runs; total += size {
+			size = min(2*size, DefaultArenaChunk)
+			limit++
+		}
+		if allocs > float64(limit) {
+			t.Errorf("%d tiny rows: %.0f chunk allocations, want ≤ %d", k, allocs, limit)
+		}
+		t.Logf("%d rows of %d runs: %.0f chunks", k, len(tiny), allocs)
+	}
+}
+
+// TestArenaCapKeepsMeaning: a row of at least half the cap that does
+// not fit the current chunk gets its own exact allocation, not a
+// fresh chunk, and no chunk ever exceeds the cap.
+func TestArenaCapKeepsMeaning(t *testing.T) {
+	big := make(Row, 32)
+	for i := range big {
+		big[i] = Run{Start: 2 * i, Length: 1}
+	}
+	a := NewArena(64)
+	if got := a.Persist(big); cap(got) != 32 || !got.Equal(big) || a.chunk != nil {
+		t.Fatalf("half-cap row: cap %d, %v, chunk %d runs; want its own exact allocation and no chunk", cap(got), got, len(a.chunk))
+	}
+	for i := 0; i < 100; i++ {
+		a.Persist(Row{{0, 1}, {5, 1}, {9, 1}})
+		if len(a.chunk) > 64 {
+			t.Fatalf("chunk of %d runs exceeds the cap of 64", len(a.chunk))
+		}
+	}
+}
+
+// TestArenaGrowthRowsIsolated: rows persisted across chunk boundaries
+// as the chunks grow stay capacity-clipped and intact.
+func TestArenaGrowthRowsIsolated(t *testing.T) {
+	var a Arena
+	var kept []Row
+	for i := 0; i < 300; i++ {
+		r := a.Persist(Row{{i, 1}, {i + 2, 1 + i%3}})
+		if cap(r) != len(r) {
+			t.Fatalf("row %d: cap %d, len %d; want capacity-clipped", i, cap(r), len(r))
+		}
+		kept = append(kept, r)
+	}
+	for i := range kept {
+		_ = append(kept[i], Run{Start: 1 << 20, Length: 1})
+	}
+	for i, r := range kept {
+		if want := (Row{{i, 1}, {i + 2, 1 + i%3}}); !r.Equal(want) {
+			t.Fatalf("row %d = %v after appends to its neighbours, want %v", i, r, want)
+		}
+	}
+}
+
 func BenchmarkArenaPersist(b *testing.B) {
 	rng := rand.New(rand.NewSource(12))
 	rows := make([]Row, 64)

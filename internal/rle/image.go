@@ -19,6 +19,20 @@ func NewImage(width, height int) *Image {
 	return &Image{Width: width, Height: height, Rows: make([]Row, height)}
 }
 
+// Reset makes img an all-background width×height image in place,
+// keeping the capacity of its row slices so that an image reused as
+// scratch allocates nothing once it has been as large before.
+func (img *Image) Reset(width, height int) {
+	img.Width, img.Height = width, height
+	if c := cap(img.Rows); c < height {
+		img.Rows = append(img.Rows[:c], make([]Row, height-c)...)
+	}
+	img.Rows = img.Rows[:height]
+	for y := range img.Rows {
+		img.Rows[y] = img.Rows[y][:0]
+	}
+}
+
 // Validate checks dimensions and every row's invariants.
 func (img *Image) Validate() error {
 	if img.Width < 0 || img.Height < 0 {

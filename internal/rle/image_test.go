@@ -26,6 +26,27 @@ func TestNewImage(t *testing.T) {
 	}
 }
 
+func TestImageResetReusesRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	img := randomImage(rng, 64, 8)
+	img.Reset(10, 3)
+	if img.Width != 10 || img.Height != 3 || len(img.Rows) != 3 || img.Area() != 0 {
+		t.Fatalf("Reset(10, 3) = %dx%d, %d rows, area %d", img.Width, img.Height, len(img.Rows), img.Area())
+	}
+	img.Reset(64, 12)
+	if len(img.Rows) != 12 || img.Area() != 0 || img.Validate() != nil {
+		t.Fatalf("Reset(64, 12): %d rows, area %d", len(img.Rows), img.Area())
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		img.Reset(64, 12)
+		for y := range img.Rows {
+			img.Rows[y] = append(img.Rows[y], Run{Start: y, Length: 1})
+		}
+	}); n != 0 {
+		t.Errorf("warm Reset and refill: %v allocs, want 0", n)
+	}
+}
+
 func TestNewImagePanicsOnNegative(t *testing.T) {
 	defer func() {
 		if recover() == nil {

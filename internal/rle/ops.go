@@ -188,6 +188,12 @@ func AndNot(a, b Row) Row {
 	return combine(a, b, func(x, y bool) bool { return x && !y })
 }
 
+// AppendAndNot appends a minus b to dst, reusing dst's capacity;
+// existing runs in dst are never touched or merged with.
+func AppendAndNot(dst Row, a, b Row) Row {
+	return appendCombine(dst, a, b, func(x, y bool) bool { return x && !y })
+}
+
 // Not complements the row within [0, width).
 func Not(a Row, width int) Row {
 	var out Row

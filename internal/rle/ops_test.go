@@ -74,6 +74,18 @@ func TestAppendXORMatchesXOR(t *testing.T) {
 	}
 }
 
+func TestAppendAndNotMatchesAndNot(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for i := 0; i < 200; i++ {
+		a, b := randomRow(rng, 90), randomRow(rng, 90)
+		prefix := Row{{0, 1}}
+		got := AppendAndNot(prefix, a, b)
+		if !got[:1].Equal(prefix) || !got[1:].Equal(AndNot(a, b)) {
+			t.Fatalf("AppendAndNot(%v, %v) = %v, want %v after the prefix", a, b, got, AndNot(a, b))
+		}
+	}
+}
+
 func TestAppendXORPreservesPrefix(t *testing.T) {
 	prefix := Row{{0, 2}, {4, 1}}
 	dst := append(Row{}, prefix...)

@@ -7,7 +7,8 @@ import "sysrle/internal/rle"
 // operations on same-sized images reuse their buffers instead of
 // reallocating per call. The zero value is ready to use; an Op must
 // not be shared between goroutines. Output images are freshly
-// allocated (arena-persisted) and do not alias the Op's scratch.
+// allocated (arena-persisted) and do not alias the Op's scratch;
+// DilateInto writes into the caller's image instead.
 type Op struct {
 	horiz   []rle.Row
 	vpre    []rle.Row
@@ -39,20 +40,38 @@ func (o *Op) rows(h int) []rle.Row {
 // translates, merged on append), then each output row is the union of
 // the SE-height window of horizontal results.
 func (o *Op) Dilate(img *rle.Image, se SE) (*rle.Image, error) {
-	if err := se.Validate(); err != nil {
+	out := rle.NewImage(img.Width, img.Height)
+	arena := rle.NewArena(0)
+	if err := o.dilate(img, se, func(y int, r rle.Row) { out.Rows[y] = arena.Persist(r) }); err != nil {
 		return nil, err
+	}
+	return out, nil
+}
+
+// DilateInto is Dilate writing into dst, which it resets to img's
+// frame: each output row is copied over dst's old row, reusing its
+// capacity, so a warm dst allocates nothing. dst must not be img.
+func (o *Op) DilateInto(dst, img *rle.Image, se SE) error {
+	dst.Reset(img.Width, img.Height)
+	return o.dilate(img, se, func(y int, r rle.Row) { dst.Rows[y] = append(dst.Rows[y], r...) })
+}
+
+// dilate computes img ⊕ se and hands output row y to put (a row put
+// never sees stays empty); the row is the Op's scratch, valid only
+// during the call.
+func (o *Op) dilate(img *rle.Image, se SE, put func(y int, r rle.Row)) error {
+	if err := se.Validate(); err != nil {
+		return err
 	}
 	h := img.Height
 	horiz := o.rows(h)
 	for y := 0; y < h; y++ {
 		horiz[y] = AppendDilateRow(horiz[y][:0], img.Rows[y], se.Left(), se.Right(), img.Width)
 	}
-	out := rle.NewImage(img.Width, h)
-	arena := rle.NewArena(0)
 	switch {
 	case se.H == 1:
 		for y := 0; y < h; y++ {
-			out.Rows[y] = arena.Persist(horiz[y])
+			put(y, horiz[y])
 		}
 	case se.H == 2 || h < se.H:
 		// Tiny windows (or images shorter than the SE): the k-way merge
@@ -60,7 +79,7 @@ func (o *Op) Dilate(img *rle.Image, se SE) (*rle.Image, error) {
 		for y := 0; y < h; y++ {
 			lo, hi := clampWindow(y-se.Down(), y+se.Up(), h)
 			o.scratch = o.unionRange(horiz, lo, hi)
-			out.Rows[y] = arena.Persist(o.scratch)
+			put(y, o.scratch)
 		}
 	default:
 		// van Herk / Gil–Werman sliding-window union: rows partition
@@ -104,10 +123,10 @@ func (o *Op) Dilate(img *rle.Image, se SE) (*rle.Image, error) {
 				// at most H-1 rows at each frame edge. Merge directly.
 				o.scratch = o.unionRange(horiz, lo, hi)
 			}
-			out.Rows[y] = arena.Persist(o.scratch)
+			put(y, o.scratch)
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // clampWindow clips the inclusive row window [lo, hi] to [0, h).

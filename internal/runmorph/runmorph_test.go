@@ -498,6 +498,41 @@ func TestOpReuse(t *testing.T) {
 	}
 }
 
+// TestDilateIntoMatchesDilate: DilateInto into one reused image, warm
+// from earlier and differently sized results, gives exactly Dilate's
+// rows, and allocates nothing once that image is large enough.
+func TestDilateIntoMatchesDilate(t *testing.T) {
+	var o Op
+	var dst rle.Image
+	rng := rand.New(rand.NewSource(25))
+	for i := 0; i < 40; i++ {
+		img := randomImage(rng, 1+rng.Intn(40), 1+rng.Intn(30), 0.2+0.5*rng.Float64())
+		se := testSEs[i%len(testSEs)]
+		want, err := o.Dilate(img, se)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := o.DilateInto(&dst, img, se); err != nil {
+			t.Fatal(err)
+		}
+		if dst.Width != want.Width || dst.Height != want.Height {
+			t.Fatalf("DilateInto frame %dx%d, want %dx%d", dst.Width, dst.Height, want.Width, want.Height)
+		}
+		for y := range want.Rows {
+			if !dst.Rows[y].Equal(want.Rows[y]) {
+				t.Fatalf("case %d row %d: DilateInto %v, Dilate %v", i, y, dst.Rows[y], want.Rows[y])
+			}
+		}
+	}
+	img := randomImage(rng, 30, 20, 0.4)
+	if n := testing.AllocsPerRun(10, func() { o.DilateInto(&dst, img, Box(1)) }); n != 0 {
+		t.Errorf("warm DilateInto: %v allocs, want 0", n)
+	}
+	if err := o.DilateInto(&dst, img, Rect(0, 1)); err == nil {
+		t.Error("DilateInto accepted an invalid SE")
+	}
+}
+
 func TestEmptyAndIdentity(t *testing.T) {
 	img := rle.NewImage(16, 6)
 	img.Rows[2] = rle.Row{rle.Span(4, 9)}
