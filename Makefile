@@ -27,12 +27,12 @@ ci:
 	$(MAKE) chaos-disk
 
 # The fault-tolerance suite under the race detector, repeated to
-# shake out timing-dependent interleavings, plus the cluster
-# coordinator's chaos, failover and conformance tests (mirrors the
-# ci.yml chaos job).
+# shake out timing-dependent interleavings, with the request deadline
+# and in-flight limiter tests, plus the cluster coordinator's chaos,
+# failover and conformance tests (mirrors the ci.yml chaos job).
 chaos:
 	$(GO) test -race -count=3 ./internal/fault/
-	$(GO) test -race -count=3 -run 'Chaos|Fault|Readyz|Retry|Quarantine|Hammer|Stuck|Panic|Verified' \
+	$(GO) test -race -count=3 -run 'Chaos|Fault|Readyz|Retry|Quarantine|Hammer|Stuck|Panic|Verified|Timeout|Limiter' \
 		./internal/core/ ./internal/jobs/ ./internal/server/ ./internal/inspect/ ./cmd/sysdiffd/
 	$(GO) test -race -count=3 -run 'Chaos|Killed|Failover|Conformance' ./internal/cluster/
 

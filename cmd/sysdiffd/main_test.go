@@ -55,13 +55,17 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 
 	// A burst of requests in flight while the signal arrives: all must
-	// complete and the drain must still exit cleanly.
+	// complete and the drain must still exit cleanly. One connection per
+	// request: a pooling client may dial a spare connection that never
+	// carries a request, and Shutdown waits ~5 s before it counts such
+	// a connection idle, as long as this test's drain timeout.
+	burst := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := http.Get(base + "/metrics")
+			resp, err := burst.Get(base + "/metrics")
 			if err == nil {
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()

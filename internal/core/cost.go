@@ -198,16 +198,11 @@ type Router struct {
 	decided bool
 }
 
-// Decide routes one row from its operand run counts and width,
-// updating the hysteresis state.
-func (r *Router) Decide(k1, k2, width int) Route {
-	return r.DecidePriced(r.Model.MergeCost(k1, k2), r.Model.PackedCost(k1, k2, width))
-}
-
-// DecidePriced is Decide on a row already priced by Model: merge and
-// packed are its MergeCost and PackedCost. A caller that needs the
-// prices for more than the route (the planner's crossover histogram
-// takes their PriceRatio) computes them once.
+// DecidePriced routes one row already priced by Model, updating the
+// hysteresis state: merge and packed are the row's MergeCost and
+// PackedCost. The caller prices the row once, for the route and for
+// anything else that needs the prices (the planner's crossover
+// histogram takes their PriceRatio).
 func (r *Router) DecidePriced(merge, packed float64) Route {
 	h := r.Hysteresis
 	if h < 0 {
@@ -235,15 +230,10 @@ func (r *Router) DecidePriced(merge, packed float64) Route {
 	return next
 }
 
-// CostRatio returns merge price / packed price for one row — the
+// PriceRatio returns merge price / packed price for one row — the
 // quantity the planner's crossover histogram observes (> 1 means the
 // model favours the packed path). Rows where both paths price zero
 // report 1 (indifferent).
-func (m RowCostModel) CostRatio(k1, k2, width int) float64 {
-	return PriceRatio(m.MergeCost(k1, k2), m.PackedCost(k1, k2, width))
-}
-
-// PriceRatio is CostRatio on a row's two prices.
 func PriceRatio(merge, packed float64) float64 {
 	if packed <= 0 {
 		if merge <= 0 {

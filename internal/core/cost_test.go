@@ -80,6 +80,17 @@ func TestRowCostModelCrossover(t *testing.T) {
 	}
 }
 
+// decide routes one row of run counts k1, k2 and the given width,
+// priced by the router's own model.
+func decide(r *Router, k1, k2, width int) Route {
+	return r.DecidePriced(r.Model.MergeCost(k1, k2), r.Model.PackedCost(k1, k2, width))
+}
+
+// costRatio prices one row on m and returns its PriceRatio.
+func costRatio(m RowCostModel, k1, k2, width int) float64 {
+	return PriceRatio(m.MergeCost(k1, k2), m.PackedCost(k1, k2, width))
+}
+
 func TestRouterHysteresis(t *testing.T) {
 	m := DefaultRowCostModel()
 	width := 2000
@@ -93,13 +104,13 @@ func TestRouterHysteresis(t *testing.T) {
 	}
 	flappy := Router{Model: m}
 	changes := 0
-	prev := flappy.Decide(lo, 0, width)
+	prev := decide(&flappy, lo, 0, width)
 	for i := 0; i < 20; i++ {
 		k := lo
 		if i%2 == 1 {
 			k = hi
 		}
-		cur := flappy.Decide(k, 0, width)
+		cur := decide(&flappy, k, 0, width)
 		if cur != prev {
 			changes++
 		}
@@ -110,13 +121,13 @@ func TestRouterHysteresis(t *testing.T) {
 	}
 	steady := Router{Model: m, Hysteresis: 0.25}
 	changes = 0
-	prev = steady.Decide(lo, 0, width)
+	prev = decide(&steady, lo, 0, width)
 	for i := 0; i < 20; i++ {
 		k := lo
 		if i%2 == 1 {
 			k = hi
 		}
-		cur := steady.Decide(k, 0, width)
+		cur := decide(&steady, k, 0, width)
 		if cur != prev {
 			changes++
 		}
@@ -128,13 +139,13 @@ func TestRouterHysteresis(t *testing.T) {
 
 	// Far from the crossover the hysteretic router still switches.
 	r := Router{Model: m, Hysteresis: 0.25}
-	if got := r.Decide(2, 2, width); got != RouteRLE {
+	if got := decide(&r, 2, 2, width); got != RouteRLE {
 		t.Fatalf("sparse row routed %v", got)
 	}
-	if got := r.Decide(800, 800, width); got != RoutePacked {
+	if got := decide(&r, 800, 800, width); got != RoutePacked {
 		t.Fatalf("dense row routed %v", got)
 	}
-	if got := r.Decide(2, 2, width); got != RouteRLE {
+	if got := decide(&r, 2, 2, width); got != RouteRLE {
 		t.Fatalf("sparse row after dense routed %v", got)
 	}
 }
@@ -158,11 +169,11 @@ func TestRouterCrossoverStability(t *testing.T) {
 		for _, f := range []float64{0.75, 1.25} {
 			m := p(base, f)
 			r := Router{Model: m}
-			if got := r.Decide(3, 3, width); got != RouteRLE {
+			if got := decide(&r, 3, 3, width); got != RouteRLE {
 				t.Errorf("perturbation %d ×%.1f: sparse row routed %v", pi, f, got)
 			}
 			r = Router{Model: m}
-			if got := r.Decide(900, 900, width); got != RoutePacked {
+			if got := decide(&r, 900, 900, width); got != RoutePacked {
 				t.Errorf("perturbation %d ×%.1f: dense row routed %v", pi, f, got)
 			}
 		}
@@ -171,20 +182,20 @@ func TestRouterCrossoverStability(t *testing.T) {
 
 func TestCostRatio(t *testing.T) {
 	m := DefaultRowCostModel()
-	if r := m.CostRatio(0, 0, 64); r != 1 && r >= 1 {
+	if r := costRatio(m, 0, 0, 64); r != 1 && r >= 1 {
 		// Empty rows: merge prices 0, packed prices its fixed cost.
 		if r != 0 {
 			t.Errorf("empty-row ratio = %v, want 0 (merge free, packed fixed)", r)
 		}
 	}
-	if r := m.CostRatio(1000, 1000, 2000); r <= 1 {
+	if r := costRatio(m, 1000, 1000, 2000); r <= 1 {
 		t.Errorf("dense ratio = %v, want > 1", r)
 	}
-	if r := m.CostRatio(2, 2, 2000); r >= 1 {
+	if r := costRatio(m, 2, 2, 2000); r >= 1 {
 		t.Errorf("sparse ratio = %v, want < 1", r)
 	}
 	zero := RowCostModel{}
-	if r := zero.CostRatio(5, 5, 100); r != 1 {
+	if r := costRatio(zero, 5, 5, 100); r != 1 {
 		t.Errorf("zero-model ratio = %v, want 1", r)
 	}
 }

@@ -25,7 +25,7 @@ type diffShape struct {
 // 1024² similar scan diffed against a stored reference, and a 512²
 // random pair uploaded inline. Both ask for format=rleb.
 var diffShapes = []diffShape{
-	{"ref-similar", 200, 128 << 10, func(tb testing.TB) (*server.Server, func()) {
+	{"ref-similar", 200, 43 << 10, func(tb testing.TB) (*server.Server, func()) {
 		pair := generate(tb, "similar", 1024, 1604)
 		s := server.New()
 		meta, err := s.Refs().Put(pair.A)
@@ -34,7 +34,7 @@ var diffShapes = []diffShape{
 		}
 		return s, diffRequest(tb, s, "/v1/diff?format=rleb&ref="+meta.ID, map[string]*rle.Image{"b": pair.B})
 	}},
-	{"upload-random", 220, 128 << 10, func(tb testing.TB) (*server.Server, func()) {
+	{"upload-random", 220, 60 << 10, func(tb testing.TB) (*server.Server, func()) {
 		pair := generate(tb, "random", 512, 1605)
 		s := server.New()
 		return s, diffRequest(tb, s, "/v1/diff?format=rleb", map[string]*rle.Image{"a": pair.A, "b": pair.B})
@@ -87,13 +87,15 @@ func diffRequest(tb testing.TB, s *server.Server, path string, parts map[string]
 // construction, skip the engines' operand check, and a format=rleb
 // answer is encoded as it goes into a second pooled buffer. Neither
 // operand nor the difference is built as an rle.Image. The ref-routed
-// 1024² similar scan costs ~171 allocations and ~49 KB, the inline
-// 512² random pair ~187 and ~75 KB (go1.24, amd64), most of it the
-// multipart reader and the recorder's copy of the answer. Reading the
-// form into its own buffers and copying each part out again, as the
-// shard once did, cost ~310 and ~285 KB; decoding the scan into an
-// image would add ~440 KB (30k runs and 1024 row headers). Either
-// breaks the byte bounds.
+// 1024² similar scan costs ~162 allocations and ~35 KB, the inline
+// 512² random pair ~177 and ~49 KB (go1.24, amd64), most of it the
+// multipart reader and the recorder's copy of the answer; the bounds
+// leave ~25% headroom. Running the handler under http.TimeoutHandler,
+// which copied the answer into its own buffer, cost ~171 and ~50 KB
+// and ~186 and ~77 KB; reading the form into its own buffers and
+// copying each part out again cost ~310 and ~285 KB; decoding the
+// scan into an image would add ~440 KB (30k runs and 1024 row
+// headers). Each breaks the byte bounds.
 func TestDiffHandlerStreamAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are nondeterministic under -race (sync.Pool drops)")
@@ -103,6 +105,9 @@ func TestDiffHandlerStreamAllocs(t *testing.T) {
 			s, diff := shape.serve(t)
 			defer s.Close()
 			allocs := testing.AllocsPerRun(10, diff)
+			// One P, as AllocsPerRun measures: a pooled buffer left in
+			// another P's private slot would be allocated afresh.
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			const runs = 10
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)

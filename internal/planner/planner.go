@@ -147,17 +147,6 @@ type Planner struct {
 // Option configures a Planner.
 type Option func(*Planner)
 
-// WithCostModel replaces the calibrated default cost model.
-func WithCostModel(m core.RowCostModel) Option {
-	return func(p *Planner) { p.router.Model = m }
-}
-
-// WithHysteresis sets the fractional price advantage required to
-// switch paths (default 0.25).
-func WithHysteresis(h float64) Option {
-	return func(p *Planner) { p.router.Hysteresis = h }
-}
-
 // WithMetrics attaches a telemetry registry: every decision counts
 // in MetricRowsPacked or MetricRowsRLE and observes the modelled cost
 // ratio in MetricCrossoverRatio. Decisions are tallied in the engine

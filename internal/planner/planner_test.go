@@ -268,7 +268,8 @@ func TestPlannerPublishOnce(t *testing.T) {
 		model := core.DefaultRowCostModel()
 		for i := -1; i < height; i++ { // row 0 twice: XORRow, then the image
 			y := max(i, 0)
-			observed.Observe(model.CostRatio(len(a.Rows[y]), len(b.Rows[y]), packWidth(a.Rows[y], b.Rows[y])))
+			k1, k2 := len(a.Rows[y]), len(b.Rows[y])
+			observed.Observe(core.PriceRatio(model.MergeCost(k1, k2), model.PackedCost(k1, k2, packWidth(a.Rows[y], b.Rows[y]))))
 		}
 		if got, want := bucketLines(t, reg), bucketLines(t, wantReg); got != want {
 			t.Errorf("crossover bands after the image:\n%s\nwant, as observed row by row:\n%s", got, want)

@@ -288,8 +288,8 @@ func TestServedLockstepCellCap(t *testing.T) {
 }
 
 // TestCanceledRequestRunsNoRows: a request whose context is already
-// canceled (the client left, or the timeout middleware answered)
-// stops before its rows, and /v1/inspect answers as /v1/diff does.
+// canceled (the client left) stops before its rows, and /v1/inspect
+// answers as /v1/diff does: 422, not the 503 of a passed deadline.
 func TestCanceledRequestRunsNoRows(t *testing.T) {
 	s := NewWith(Config{RequestTimeout: -1})
 	t.Cleanup(s.Close)

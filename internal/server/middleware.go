@@ -1,13 +1,13 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"sysrle/internal/apiclient"
@@ -17,13 +17,14 @@ import (
 // The middleware stack, outermost first:
 //
 //	panic recovery → request ID → access log + metrics → in-flight
-//	limiter → per-request timeout → mux
+//	limiter → request deadline → mux
 //
-// Recovery is outermost so a panic anywhere (including one re-raised
-// by http.TimeoutHandler from its worker goroutine) becomes a 500
-// JSON error instead of killing the process. The access logger sits
-// outside the limiter and timeout so shed (429) and timed-out (503)
-// requests are still logged and counted.
+// Every layer runs on the goroutine serving the connection, the
+// handler included. Recovery is outermost so a panic anywhere becomes
+// a 500 JSON error instead of killing the process. The access logger
+// sits outside the limiter and the deadline so shed (429) and
+// timed-out (503) requests are still logged and counted. The limiter
+// holds a request's slot until its handler returns, deadline or not.
 
 // withRecover turns handler panics into 500 JSON errors.
 func (s *Server) withRecover(next http.Handler) http.Handler {
@@ -80,17 +81,15 @@ func (sw *statusWriter) Flush() {
 	}
 }
 
-// countingBody counts request body bytes actually read. The counter is
-// atomic because http.TimeoutHandler runs the inner handler on another
-// goroutine which may still be reading when the request is abandoned.
+// countingBody counts request body bytes actually read.
 type countingBody struct {
 	rc io.ReadCloser
-	n  atomic.Int64
+	n  int64
 }
 
 func (cb *countingBody) Read(p []byte) (int, error) {
 	n, err := cb.rc.Read(p)
-	cb.n.Add(int64(n))
+	cb.n += int64(n)
 	return n, err
 }
 
@@ -155,13 +154,13 @@ func (s *Server) withObserve(next http.Handler) http.Handler {
 		ep := telemetry.L("endpoint", endpoint)
 		s.reg.Counter("sysrle_http_requests_total", ep, telemetry.L("class", statusClass(sw.status))).Inc()
 		s.reg.Histogram("sysrle_http_request_seconds", nil, ep).ObserveDuration(elapsed)
-		s.reg.Counter("sysrle_http_request_bytes_total").Add(body.n.Load())
+		s.reg.Counter("sysrle_http_request_bytes_total").Add(body.n)
 		s.reg.Counter("sysrle_http_response_bytes_total").Add(sw.bytes)
 		s.log.Info("request",
 			"method", r.Method,
 			"path", r.URL.Path,
 			"status", sw.status,
-			"bytes_in", body.n.Load(),
+			"bytes_in", body.n,
 			"bytes_out", sw.bytes,
 			"duration", elapsed,
 			"request_id", apiclient.RequestID(r),
@@ -171,8 +170,9 @@ func (s *Server) withObserve(next http.Handler) http.Handler {
 }
 
 // withLimit sheds load once MaxInFlight requests are already being
-// served, with 429 + Retry-After. /healthz, /readyz and /metrics
-// bypass the limiter (and the timeout, see wrap) so the service stays
+// served, with 429 + Retry-After. A slot is held until the handler
+// returns, also past its deadline. /healthz, /readyz and /metrics
+// bypass the limiter (and the deadline, see wrap) so the service stays
 // observable while saturated — a shed /readyz would hide exactly the
 // state it exists to report.
 func (s *Server) withLimit(next http.Handler) http.Handler {
@@ -203,8 +203,30 @@ func (s *Server) withLimit(next http.Handler) http.Handler {
 	})
 }
 
-// exempt routes the observability endpoints around mid (limiter or
-// timeout) so they cannot be shed or timed out.
+// withDeadline bounds a request with a deadline on its context. The
+// handlers that read the context stop there and answer through
+// httpError, which maps context.DeadlineExceeded to the 503 envelope;
+// a handler that returns after the deadline without writing anything
+// gets the same envelope here. A handler that ignores the context
+// finishes and answers late.
+func (s *Server) withDeadline(next http.Handler) http.Handler {
+	if s.cfg.RequestTimeout <= 0 {
+		return next
+	}
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+		defer cancel()
+		next.ServeHTTP(w, r.WithContext(ctx))
+		// w is withObserve's statusWriter: it knows whether the
+		// handler wrote.
+		if sw, ok := w.(*statusWriter); ok && sw.status == 0 && errors.Is(ctx.Err(), context.DeadlineExceeded) {
+			s.httpError(w, r, http.StatusServiceUnavailable, ctx.Err())
+		}
+	})
+}
+
+// exempt routes the observability endpoints around mid (the limiter
+// and the deadline) so they cannot be shed or timed out.
 func exempt(mid, direct http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
@@ -218,58 +240,11 @@ func exempt(mid, direct http.Handler) http.Handler {
 
 // wrap assembles the full stack around the route mux.
 func (s *Server) wrap(mux http.Handler) http.Handler {
-	h := mux
-	if s.cfg.RequestTimeout > 0 {
-		h = exempt(jsonOnBareWrite(http.TimeoutHandler(h, s.cfg.RequestTimeout, timeoutBody)), mux)
-	}
-	h = exempt(s.withLimit(h), h)
+	h := exempt(s.withLimit(s.withDeadline(mux)), mux)
 	h = s.withObserve(h)
 	h = apiclient.RequestIDHandler(h)
 	h = s.withRecover(h)
 	return h
-}
-
-// timeoutBody is what http.TimeoutHandler writes with its 503, in
-// the same envelope shape httpError renders.
-const timeoutBody = `{"error":{"code":"` + apiclient.CodeUnavailable + `","message":"request timed out"}}`
-
-// jsonOnBareWrite defaults Content-Type to application/json when the
-// inner handler writes headers without setting one.
-// http.TimeoutHandler emits its static timeout body bare, which would
-// otherwise be content-sniffed as text/plain.
-func jsonOnBareWrite(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		next.ServeHTTP(&jsonDefaultWriter{ResponseWriter: w}, r)
-	})
-}
-
-type jsonDefaultWriter struct {
-	http.ResponseWriter
-	wrote bool
-}
-
-func (jw *jsonDefaultWriter) WriteHeader(code int) {
-	if !jw.wrote {
-		jw.wrote = true
-		if jw.Header().Get("Content-Type") == "" {
-			jw.Header().Set("Content-Type", "application/json")
-		}
-	}
-	jw.ResponseWriter.WriteHeader(code)
-}
-
-func (jw *jsonDefaultWriter) Write(p []byte) (int, error) {
-	if !jw.wrote {
-		jw.WriteHeader(http.StatusOK)
-	}
-	return jw.ResponseWriter.Write(p)
-}
-
-// Flush forwards so streaming works through the wrapper.
-func (jw *jsonDefaultWriter) Flush() {
-	if f, ok := jw.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
 }
 
 // discardLogger drops everything; the default for handlers constructed

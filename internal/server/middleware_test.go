@@ -7,10 +7,12 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"sysrle/internal/apiclient"
+	"sysrle/internal/rle"
 	"sysrle/internal/telemetry"
 )
 
@@ -186,6 +188,119 @@ func TestTimeout(t *testing.T) {
 	var e errorResponse
 	if err := json.Unmarshal(body, &e); err != nil || e.Error.Message == "" {
 		t.Errorf("timeout body %q is not the JSON error shape", body)
+	}
+	checkTimedOut(t, resp.StatusCode, resp.Header, body)
+}
+
+// checkTimedOut asserts an answer is the 503 envelope of a request
+// whose deadline passed, carrying the response's request id.
+func checkTimedOut(t *testing.T, status int, h http.Header, body []byte) {
+	t.Helper()
+	if status != http.StatusServiceUnavailable {
+		t.Errorf("status %d, want 503", status)
+	}
+	if ct := h.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("Content-Type %q, want application/json", ct)
+	}
+	var e errorResponse
+	if err := json.Unmarshal(body, &e); err != nil {
+		t.Fatalf("timeout body %q: %v", body, err)
+	}
+	if e.Error.Code != apiclient.CodeUnavailable || e.Error.Message != "request timed out" {
+		t.Errorf("timeout envelope %q, want code %q, message \"request timed out\"", body, apiclient.CodeUnavailable)
+	}
+	if id := h.Get(apiclient.RequestIDHeader); id == "" || e.Error.RequestID != id {
+		t.Errorf("timeout envelope request_id %q, X-Request-Id %q: want equal, non-empty", e.Error.RequestID, id)
+	}
+}
+
+// TestTimeoutDiffRoute: a real handler stopped by its deadline answers
+// the 503 envelope, not the 422 of an engine error.
+func TestTimeoutDiffRoute(t *testing.T) {
+	s := NewWith(Config{RequestTimeout: time.Nanosecond})
+	t.Cleanup(s.Close)
+	ref, scan, _ := testBoards(t)
+	body, ctype := multipartBody(t, "rleb", map[string]*rle.Image{"a": ref, "b": scan})
+	req := httptest.NewRequest(http.MethodPost, "/v1/diff", body)
+	req.Header.Set("Content-Type", ctype)
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, req)
+	checkTimedOut(t, rec.Code, rec.Header(), rec.Body.Bytes())
+}
+
+// TestTimeoutKeepsLimiterSlot: a handler that ignores its context runs
+// on past the deadline and keeps its in-flight slot until it returns,
+// so MaxInFlight bounds the work running, not only the requests not
+// yet answered. Once it returns without writing, its request gets the
+// 503 envelope.
+func TestTimeoutKeepsLimiterSlot(t *testing.T) {
+	expired, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	_, h := newTestServer(Config{MaxInFlight: 1, RequestTimeout: 20 * time.Millisecond}, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) > 1 {
+			return // a later request that was let in
+		}
+		<-r.Context().Done()
+		close(expired)
+		<-release
+	}))
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	unblock := sync.OnceFunc(func() { close(release) })
+	defer unblock()
+
+	type answer struct {
+		status int
+		header http.Header
+		body   []byte
+	}
+	first := make(chan answer, 1)
+	go func() {
+		resp, err := http.Get(srv.URL + "/v1/diff")
+		if err != nil {
+			first <- answer{}
+			return
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		first <- answer{resp.StatusCode, resp.Header, body}
+	}()
+	<-expired
+	// Time for a slot freed at the deadline to be taken.
+	time.Sleep(50 * time.Millisecond)
+	resp, err := http.Get(srv.URL + "/v1/diff")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Errorf("second request while the first runs past its deadline: status %d, want 429", resp.StatusCode)
+	}
+	unblock()
+	a := <-first
+	checkTimedOut(t, a.status, a.header, a.body)
+}
+
+// TestTimeoutPanicCounted: a handler that panics after its deadline is
+// recovered, counted and answered like any other panic.
+func TestTimeoutPanicCounted(t *testing.T) {
+	s, h := newTestServer(Config{RequestTimeout: 20 * time.Millisecond}, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done()
+		time.Sleep(20 * time.Millisecond)
+		panic("late kaboom")
+	}))
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/v1/diff")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Errorf("status %d, want 500", resp.StatusCode)
+	}
+	if got := s.reg.Counter("sysrle_http_panics_total").Value(); got != 1 {
+		t.Errorf("panics counter = %d, want 1", got)
 	}
 }
 

@@ -153,13 +153,26 @@
 // the format is sniffed. Uploads over the configured size limit get
 // 413; when MaxInFlight requests are already being served, further
 // ones get 429 with Retry-After (except /healthz, /readyz, /metrics
-// and /debug/vars, which bypass the limiter and the per-request
-// timeout so the service stays observable under saturation). Every
-// response carries an X-Request-Id, also attached to the access log
-// lines.
+// and /debug/vars, which bypass the limiter and the request deadline
+// so the service stays observable under saturation). Every response
+// carries an X-Request-Id, also attached to the access log lines.
+//
+// # Request deadline
+//
+// Each /v1 request runs on the goroutine serving its connection, under
+// a deadline on its context (Config.RequestTimeout). /v1/diff,
+// /v1/inspect and /v1/docclean stop at the deadline and answer 503,
+// code "unavailable", message "request timed out", with the request
+// id. /v1/align, reference upload and delete, jobs and audit do not
+// read the context: they finish and answer late, but truthfully. The
+// limiter holds a request's slot until its handler returns, so
+// MaxInFlight bounds the work running, not only the answers owed. A
+// client that hangs up cancels the context: diff and inspect stop and
+// answer 422 to nobody.
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -182,6 +195,10 @@ import (
 	"sysrle/internal/wal"
 )
 
+// errTimedOut is the message of the 503 a request answers when its
+// deadline passes.
+var errTimedOut = errors.New("request timed out")
+
 // MaxUploadBytes is the default bound on one multipart upload. An
 // upload is held in memory while its request is served, so this also
 // bounds what one request can hold.
@@ -196,8 +213,10 @@ type Config struct {
 	// requests are shed with 429. 0 means DefaultMaxInFlight;
 	// negative disables the limiter.
 	MaxInFlight int
-	// RequestTimeout bounds one request end to end (503 on expiry).
-	// 0 means DefaultRequestTimeout; negative disables the timeout.
+	// RequestTimeout is the deadline on a /v1 request's context: the
+	// handlers that read the context answer 503 when it passes, the
+	// others answer late. 0 means DefaultRequestTimeout; negative
+	// disables the deadline.
 	RequestTimeout time.Duration
 	// Logger receives structured access and error logs; nil discards.
 	Logger *slog.Logger
@@ -661,11 +680,16 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 
 // httpError answers with the v1 error envelope (apiclient.WriteError)
 // — the single helper every handler's error path goes through.
+// A handler stopped by the request deadline (withDeadline) answers
+// 503 "request timed out", whatever status it asked for.
 // 500-class details never reach the client: storage and registry
 // errors can carry file paths and addresses, so the wire message is
 // generic and the real error goes to the log under the same request
 // id.
 func (s *Server) httpError(w http.ResponseWriter, r *http.Request, status int, err error) {
+	if errors.Is(err, context.DeadlineExceeded) {
+		status, err = http.StatusServiceUnavailable, errTimedOut
+	}
 	msg := err.Error()
 	if status == http.StatusInternalServerError {
 		s.log.Error("internal error", "status", status, "err", err, "request_id", apiclient.RequestID(r))
