@@ -32,7 +32,7 @@ ci:
 # failover and conformance tests (mirrors the ci.yml chaos job).
 chaos:
 	$(GO) test -race -count=3 ./internal/fault/
-	$(GO) test -race -count=3 -run 'Chaos|Fault|Readyz|Retry|Quarantine|Hammer|Stuck|Panic|Verified|Timeout|Limiter' \
+	$(GO) test -race -count=3 -run 'Chaos|Fault|Readyz|Hammer|Stuck|Panic|Verified|Timeout|Limiter' \
 		./internal/core/ ./internal/jobs/ ./internal/server/ ./internal/inspect/ ./cmd/sysdiffd/
 	$(GO) test -race -count=3 -run 'Chaos|Killed|Failover|Conformance' ./internal/cluster/
 

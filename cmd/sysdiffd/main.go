@@ -19,7 +19,6 @@
 //	-job-queue 256           queued scans across all jobs before 429 backpressure
 //	-job-retention 15m       how long finished jobs stay pollable
 //	-scan-timeout 0          per-scan deadline inside batch jobs (0 = none)
-//	-scan-retries 0          retries per failed scan before quarantine
 //	-fault-inject ""         chaos mode: inject engine faults per a seeded
 //	                         plan, e.g. "rate=0.05,seed=7,kinds=panic+slow";
 //	                         faults are detected and recovered by the
@@ -125,7 +124,6 @@ type options struct {
 	jobQueue       int
 	jobRetention   time.Duration
 	scanTimeout    time.Duration
-	scanRetries    int
 	faultInject    string
 
 	dataDir         string
@@ -174,8 +172,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 		"how long finished jobs stay pollable before collection")
 	fs.DurationVar(&o.scanTimeout, "scan-timeout", 0,
 		"per-scan deadline inside batch jobs (0 = none)")
-	fs.IntVar(&o.scanRetries, "scan-retries", 0,
-		"retries per failed batch scan before quarantine (0 = none)")
 	fs.StringVar(&o.faultInject, "fault-inject", "",
 		`chaos mode: seeded engine-fault plan, e.g. "rate=0.05,seed=7,kinds=panic+slow" (dev/test only)`)
 	fs.StringVar(&o.dataDir, "data-dir", "",
@@ -306,7 +302,6 @@ func localServer(o options, log *slog.Logger) (*server.Server, error) {
 		JobQueueDepth:  o.jobQueue,
 		JobRetention:   o.jobRetention,
 		ScanTimeout:    o.scanTimeout,
-		ScanRetries:    o.scanRetries,
 		FaultPlan:      faultPlan,
 
 		DataDir:            o.dataDir,

@@ -109,13 +109,12 @@ func TestRobustnessFlags(t *testing.T) {
 	fs := flag.NewFlagSet("sysdiffd", flag.ContinueOnError)
 	o, err := parseFlags(fs, []string{
 		"-scan-timeout", "15s",
-		"-scan-retries", "3",
 		"-fault-inject", "rate=0.1,seed=9,kinds=slow",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.scanTimeout != 15*time.Second || o.scanRetries != 3 {
+	if o.scanTimeout != 15*time.Second {
 		t.Errorf("scan knobs: %+v", o)
 	}
 	if o.faultInject != "rate=0.1,seed=9,kinds=slow" {
@@ -143,7 +142,7 @@ func TestFaultInjectServes(t *testing.T) {
 	fs := flag.NewFlagSet("sysdiffd", flag.ContinueOnError)
 	o, err := parseFlags(fs, []string{
 		"-addr", "127.0.0.1:0", "-drain-timeout", "5s",
-		"-fault-inject", "rate=0.05,seed=3", "-scan-retries", "1",
+		"-fault-inject", "rate=0.05,seed=3",
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -94,13 +94,7 @@ func TestFailoverEligible(t *testing.T) {
 	}
 }
 
-func TestIsConflict(t *testing.T) {
-	if !IsConflict(&Error{Status: http.StatusConflict, Code: CodeConflict}) {
-		t.Fatal("409 not recognized as conflict")
-	}
-	if IsConflict(&Error{Status: 404}) || IsConflict(errors.New("x")) {
-		t.Fatal("non-409 recognized as conflict")
-	}
+func TestConflictCode(t *testing.T) {
 	if got := codeForStatus(http.StatusConflict); got != CodeConflict {
 		t.Fatalf("codeForStatus(409) = %q, want %q", got, CodeConflict)
 	}

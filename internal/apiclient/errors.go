@@ -58,13 +58,10 @@ func (e *Error) Error() string {
 }
 
 // IsNotFound reports whether err is an API error with HTTP 404.
-func IsNotFound(err error) bool { return statusIs(err, http.StatusNotFound) }
-
-// IsRetryAfter reports whether err is the 429 backpressure signal.
-func IsRetryAfter(err error) bool { return statusIs(err, http.StatusTooManyRequests) }
-
-// IsConflict reports whether err is an API error with HTTP 409.
-func IsConflict(err error) bool { return statusIs(err, http.StatusConflict) }
+func IsNotFound(err error) bool {
+	var ae *Error
+	return errors.As(err, &ae) && ae.Status == http.StatusNotFound
+}
 
 // FailoverEligible reports whether a read that failed with err may be
 // retried against another replica of the same key. Transport failures
@@ -79,11 +76,6 @@ func FailoverEligible(err error) bool {
 		return err != nil
 	}
 	return ae.Status >= 500 || ae.Status == http.StatusNotFound
-}
-
-func statusIs(err error, status int) bool {
-	var ae *Error
-	return errors.As(err, &ae) && ae.Status == status
 }
 
 // errorEnvelope is the wire shape of every /v1 error answer:

@@ -61,25 +61,6 @@ func (b *Bitmap) ToRLE() *rle.Image {
 	return img
 }
 
-// SetRowRuns paints an RLE row onto bitmap row y (background first,
-// then the runs), clipping to the width. The whole word row is zeroed
-// — including the padding bits past the width, which SetRange cannot
-// reach — so the row-scan invariant (padding always clear) holds even
-// if a caller dirtied it, and overwriting a non-empty row leaves no
-// residual bits.
-func (b *Bitmap) SetRowRuns(y int, row rle.Row) {
-	if y < 0 || y >= b.height {
-		return
-	}
-	words := b.rowWords(y)
-	for i := range words {
-		words[i] = 0
-	}
-	for _, r := range row {
-		b.SetRange(y, r.Start, r.End(), true)
-	}
-}
-
 // FromRLE rasterizes an RLE image to a packed bitmap.
 func FromRLE(img *rle.Image) *Bitmap {
 	b := New(img.Width, img.Height)

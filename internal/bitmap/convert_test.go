@@ -67,20 +67,6 @@ func TestRLERoundTrip(t *testing.T) {
 	}
 }
 
-func TestSetRowRunsReplacesRow(t *testing.T) {
-	b := New(32, 2)
-	b.Fill(true)
-	b.SetRowRuns(0, rle.Row{{Start: 3, Length: 4}})
-	got := b.RowRuns(0)
-	if !got.Equal(rle.Row{{Start: 3, Length: 4}}) {
-		t.Errorf("row 0 = %v", got)
-	}
-	if b.RowRuns(1).Area() != 32 {
-		t.Error("row 1 disturbed")
-	}
-	b.SetRowRuns(5, rle.Row{{Start: 0, Length: 1}}) // out of range: ignored
-}
-
 func TestFromRLEClipsWideRuns(t *testing.T) {
 	img := rle.NewImage(16, 1)
 	img.Rows[0] = rle.Row{{Start: 10, Length: 100}} // extends past width; FromRLE must clip
@@ -112,46 +98,6 @@ func randomFragmentedRow(rng *rand.Rand, width int) rle.Row {
 		x += l + 1 + rng.Intn(6)
 	}
 	return row
-}
-
-// TestSetRowRunsRoundTrip is the Set→RowRuns property test: painting
-// any row — including non-canonical adjacent fragments and runs that
-// straddle word boundaries — over an arbitrary dirty row must read
-// back as exactly the canonical form of what was painted.
-func TestSetRowRunsRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	for trial := 0; trial < 300; trial++ {
-		width := 1 + rng.Intn(260) // covers multi-word rows and partial tail words
-		b := Random(rng, width, 3, rng.Float64())
-		row := randomFragmentedRow(rng, width)
-		b.SetRowRuns(1, row)
-		if got, want := b.RowRuns(1), row.Canonicalize(); !got.Equal(want) {
-			t.Fatalf("width %d: RowRuns = %v, want %v (painted %v)", width, got, want, row)
-		}
-		// Neighbouring rows must be untouched — SetRowRuns clears only
-		// its own words.
-		for _, y := range []int{0, 2} {
-			if err := b.RowRuns(y).Validate(width); err != nil {
-				t.Fatalf("row %d corrupted: %v", y, err)
-			}
-		}
-	}
-}
-
-// TestSetRowRunsClearsDirtyPadding pins the residual-bit hardening:
-// even when a caller has dirtied the padding bits past the width,
-// SetRowRuns restores the row-scan invariant (RowRuns relies on clear
-// padding to terminate runs at the width).
-func TestSetRowRunsClearsDirtyPadding(t *testing.T) {
-	b := New(70, 1) // two words, 58 padding bits in the tail word
-	b.words[1] |= ^b.tailMask()
-	b.SetRowRuns(0, rle.Row{{Start: 60, Length: 10}})
-	if got := b.RowRuns(0); !got.Equal(rle.Row{{Start: 60, Length: 10}}) {
-		t.Errorf("RowRuns after dirty padding = %v, want [(60,10)]", got)
-	}
-	if b.words[1]&^b.tailMask() != 0 {
-		t.Error("padding bits survived SetRowRuns")
-	}
 }
 
 // TestRLERoundTripAdversarial covers the shapes the quick round trip

@@ -56,22 +56,6 @@ func (b *Bitmap) Disk(cx, cy, radius int, v bool) {
 	}
 }
 
-// Frame draws a 1-pixel border ring of the rectangle.
-func (b *Bitmap) Frame(x0, y0, x1, y1 int, v bool) {
-	if x1 < x0 {
-		x0, x1 = x1, x0
-	}
-	if y1 < y0 {
-		y0, y1 = y1, y0
-	}
-	b.SetRange(y0, x0, x1, v)
-	b.SetRange(y1, x0, x1, v)
-	for y := y0 + 1; y < y1; y++ {
-		b.Set(x0, y, v)
-		b.Set(x1, y, v)
-	}
-}
-
 // Line draws a 1-pixel Bresenham line between two points; it is used
 // for diagonal defects (shorts across traces).
 func (b *Bitmap) Line(x0, y0, x1, y1 int, v bool) {
@@ -93,47 +77,6 @@ func (b *Bitmap) Line(x0, y0, x1, y1 int, v bool) {
 	err := dx - dy
 	for {
 		b.Set(x0, y0, v)
-		if x0 == x1 && y0 == y1 {
-			return
-		}
-		e2 := 2 * err
-		if e2 > -dy {
-			err -= dy
-			x0 += sx
-		}
-		if e2 < dx {
-			err += dx
-			y0 += sy
-		}
-	}
-}
-
-// ThickLine draws a line with approximately the given thickness by
-// stamping a square brush along the Bresenham path.
-func (b *Bitmap) ThickLine(x0, y0, x1, y1, thickness int, v bool) {
-	if thickness <= 1 {
-		b.Line(x0, y0, x1, y1, v)
-		return
-	}
-	half := (thickness - 1) / 2
-	dx := x1 - x0
-	if dx < 0 {
-		dx = -dx
-	}
-	dy := y1 - y0
-	if dy < 0 {
-		dy = -dy
-	}
-	sx, sy := 1, 1
-	if x0 > x1 {
-		sx = -1
-	}
-	if y0 > y1 {
-		sy = -1
-	}
-	err := dx - dy
-	for {
-		b.FillRect(x0-half, y0-half, x0-half+thickness-1, y0-half+thickness-1, v)
 		if x0 == x1 && y0 == y1 {
 			return
 		}

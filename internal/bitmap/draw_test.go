@@ -84,18 +84,6 @@ func TestDisk(t *testing.T) {
 	}
 }
 
-func TestFrame(t *testing.T) {
-	b := New(8, 8)
-	b.Frame(1, 1, 6, 6, true)
-	// Perimeter of a 6x6 ring = 20 pixels.
-	if b.Popcount() != 20 {
-		t.Errorf("frame popcount = %d, want 20", b.Popcount())
-	}
-	if b.Get(3, 3) {
-		t.Error("frame filled interior")
-	}
-}
-
 func TestLineEndpointsAndConnectivity(t *testing.T) {
 	b := New(30, 30)
 	b.Line(2, 3, 25, 17, true)
@@ -114,28 +102,5 @@ func TestLineEndpointsAndConnectivity(t *testing.T) {
 		if count != 1 {
 			t.Fatalf("column %d has %d pixels", x, count)
 		}
-	}
-}
-
-func TestThickLineCoversThinLine(t *testing.T) {
-	thin := New(30, 30)
-	thin.Line(3, 4, 26, 22, true)
-	thick := New(30, 30)
-	thick.ThickLine(3, 4, 26, 22, 3, true)
-	for y := 0; y < 30; y++ {
-		for x := 0; x < 30; x++ {
-			if thin.Get(x, y) && !thick.Get(x, y) {
-				t.Fatalf("thick line misses thin pixel (%d,%d)", x, y)
-			}
-		}
-	}
-	if thick.Popcount() <= thin.Popcount() {
-		t.Error("thick line no thicker than thin")
-	}
-	// Thickness 1 delegates to Line.
-	one := New(30, 30)
-	one.ThickLine(3, 4, 26, 22, 1, true)
-	if !one.Equal(thin) {
-		t.Error("thickness-1 ThickLine differs from Line")
 	}
 }

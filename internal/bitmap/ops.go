@@ -67,16 +67,3 @@ func Not(a *Bitmap) *Bitmap {
 	out.clearPadding()
 	return out
 }
-
-// XORInPlace computes a ^= b, avoiding the allocation of XOR; it is
-// the fastest uncompressed diff and the bar the benchmarks measure
-// against.
-func XORInPlace(a, b *Bitmap) error {
-	if err := checkSameSize(a, b); err != nil {
-		return err
-	}
-	for i := range a.words {
-		a.words[i] ^= b.words[i]
-	}
-	return nil
-}

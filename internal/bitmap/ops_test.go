@@ -43,9 +43,6 @@ func TestOpsSizeMismatch(t *testing.T) {
 	if _, err := XOR(a, b); err == nil {
 		t.Error("XOR accepted size mismatch")
 	}
-	if err := XORInPlace(a, b); err == nil {
-		t.Error("XORInPlace accepted size mismatch")
-	}
 }
 
 func TestNotClearsPadding(t *testing.T) {
@@ -56,23 +53,6 @@ func TestNotClearsPadding(t *testing.T) {
 	}
 	if !Not(n).Equal(b) {
 		t.Error("double complement differs")
-	}
-}
-
-func TestXORInPlaceMatchesXOR(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	a := Random(rng, 321, 5, 0.5)
-	b := Random(rng, 321, 5, 0.5)
-	want, err := XOR(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := a.Clone()
-	if err := XORInPlace(got, b); err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Error("XORInPlace differs from XOR")
 	}
 }
 

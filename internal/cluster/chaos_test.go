@@ -54,7 +54,7 @@ func TestCoordinatorChaosSlowErrorPeers(t *testing.T) {
 	if inj.Total() == 0 {
 		t.Fatalf("chaos plan injected nothing — the test proved nothing")
 	}
-	t.Logf("faults injected: %s", inj.InjectedString())
+	t.Logf("faults injected: %v", inj.Injected())
 }
 
 func TestCoordinatorChaosRefRoutedHedgedReads(t *testing.T) {

@@ -61,12 +61,6 @@ func (c Cost) PEAdvantage() float64 {
 	return float64(c.UncompressedPEs) / float64(c.Cells)
 }
 
-// BitAdvantage compares register storage against the bitmap
-// alternative's: one bit per pixel plus one result bit per PE.
-func (c Cost) BitAdvantage() float64 {
-	return float64(2*c.UncompressedPEs) / float64(c.RegisterBits)
-}
-
 // ---------------------------------------------------------------------------
 // Per-row runtime cost model.
 //

@@ -19,9 +19,6 @@ func TestEstimateCost(t *testing.T) {
 	if adv := c.PEAdvantage(); adv != 20 {
 		t.Errorf("PEAdvantage = %v, want 20", adv)
 	}
-	if c.BitAdvantage() <= 0 {
-		t.Error("BitAdvantage must be positive")
-	}
 }
 
 func TestEstimateCostPowersOfTwo(t *testing.T) {

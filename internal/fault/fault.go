@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -243,21 +242,6 @@ func (in *Injector) Total() int64 {
 		n += v
 	}
 	return n
-}
-
-// InjectedString renders the applied-fault counts compactly for logs.
-func (in *Injector) InjectedString() string {
-	m := in.Injected()
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, string(k))
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = fmt.Sprintf("%s=%d", k, m[Kind(k)])
-	}
-	return strings.Join(parts, " ")
 }
 
 // Engine wraps an inner engine with fault injection. Wrap it in a

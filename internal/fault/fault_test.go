@@ -121,7 +121,7 @@ func TestEachKindDetectedAndRecovered(t *testing.T) {
 			// Slow faults delay but do not corrupt, so detection only
 			// fires for the value/control classes.
 			if kind != KindSlow && faults == 0 {
-				t.Errorf("kind %s: faults applied (%s) but none detected", kind, inj.InjectedString())
+				t.Errorf("kind %s: faults applied (%v) but none detected", kind, inj.Injected())
 			}
 			if kind == KindSlow && faults != 0 {
 				t.Errorf("slow faults should not trip detection, got %d", faults)

@@ -47,16 +47,6 @@ func (d DefectType) String() string {
 	return fmt.Sprintf("DefectType(%d)", int(d))
 }
 
-// Polarity reports whether the defect removes copper (true) or adds
-// copper (false) relative to the reference.
-func (d DefectType) RemovesCopper() bool {
-	switch d {
-	case OpenCircuit, MouseBite, Pinhole, MissingPad:
-		return true
-	}
-	return false
-}
-
 // Injected records one defect's ground truth: its type and bounding
 // box on the scan.
 type Injected struct {

@@ -21,21 +21,18 @@
 //
 // Every scan runs under recover, so a panicking engine fails the scan
 // — never the worker; the pool size is an invariant (Health reports
-// it). Each scan attempt is bounded by Config.ScanTimeout, retried up
-// to Config.ScanRetries times with capped exponential backoff and
-// deterministic jitter, and quarantined (marked in the ScanResult,
-// counted in telemetry) when every attempt fails. A heartbeat
+// it). Each scan is bounded by Config.ScanTimeout and runs once: a
+// scan is a pure function of its inputs, so a failure is final. Row
+// faults are caught and recomputed inside the engine (Config.WrapEngine
+// with core.Verified), not by re-running the scan. A heartbeat
 // registry (Health) tracks per-worker liveness and flags workers
-// stuck on one scan longer than Config.StuckAfter. Retries in
-// progress are abandoned during Close and recorded as failures.
+// stuck on one scan longer than Config.StuckAfter.
 //
 // Telemetry (when a registry is configured):
 //
 //	sysrle_jobs_submitted_total / completed_total{state=...}
 //	sysrle_jobs_scans_total             scans processed
-//	sysrle_jobs_scan_panics_total       scan attempts that panicked
-//	sysrle_jobs_scan_retries_total      retry attempts started
-//	sysrle_jobs_scans_quarantined_total scans that exhausted retries
+//	sysrle_jobs_scan_panics_total       scans that panicked
 //	sysrle_jobs_queue_depth             tasks waiting (gauge)
 //	sysrle_jobs_active                  jobs not yet terminal (gauge)
 //	sysrle_jobs_workers                 configured pool size (gauge)
@@ -49,7 +46,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 	"time"
@@ -77,10 +73,9 @@ var (
 
 // Defaults for Config zero values.
 const (
-	DefaultWorkers      = 4
-	DefaultQueueDepth   = 256
-	DefaultRetention    = 15 * time.Minute
-	DefaultRetryBackoff = 50 * time.Millisecond
+	DefaultWorkers    = 4
+	DefaultQueueDepth = 256
+	DefaultRetention  = 15 * time.Minute
 )
 
 // State is a job lifecycle state.
@@ -117,28 +112,20 @@ type Config struct {
 	// Registry receives telemetry; nil records nothing.
 	Registry *telemetry.Registry
 
-	// ScanTimeout bounds one scan attempt end to end; the deadline is
+	// ScanTimeout bounds one scan end to end; the deadline is
 	// observed between rows (a row already inside the engine
 	// finishes). 0 disables the deadline.
 	ScanTimeout time.Duration
-	// ScanRetries is how many extra attempts a failed scan gets before
-	// being quarantined. 0 disables retries (a failure is final).
-	ScanRetries int
-	// RetryBackoff is the delay before the first retry; it doubles per
-	// attempt (capped at 32×) with up to 50% seeded jitter. 0 means
-	// DefaultRetryBackoff.
-	RetryBackoff time.Duration
 	// StuckAfter is how long one scan may hold a worker before Health
 	// reports the worker stuck. 0 means DefaultStuckAfter.
 	StuckAfter time.Duration
 	// WrapEngine, when non-nil, wraps every engine a worker constructs
 	// — the hook fault injection (chaos mode) and verification use.
 	// Applied per worker, so stateful engines stay single-threaded.
-	// Returning nil keeps the unwrapped engine.
 	WrapEngine func(core.Engine) core.Engine
 
-	// Clock drives job timestamps, retention GC and retry bookkeeping;
-	// nil means clock.System().
+	// Clock drives job timestamps, retention GC and the stuck-worker
+	// check; nil means clock.System().
 	Clock clock.Clock
 	// Journal, when non-nil, write-ahead-journals the job lifecycle:
 	// admissions, scan outcomes, completions, cancellations and
@@ -206,11 +193,6 @@ type ScanResult struct {
 	DiffRuns   int    `json:"diff_runs"`
 	Iterations int    `json:"iterations"`
 	Error      string `json:"error,omitempty"`
-	// Attempts is how many times the scan ran (1 = no retry needed).
-	Attempts int `json:"attempts,omitempty"`
-	// Quarantined marks a poison scan: every configured attempt
-	// failed, so it was given up on rather than retried forever.
-	Quarantined bool `json:"quarantined,omitempty"`
 	// AuditID is the verdict's id in the Merkle audit log (inspect
 	// scans under a manager configured with one); GET
 	// /v1/audit/{id}/proof returns its inclusion proof.
@@ -255,7 +237,23 @@ type job struct {
 	done     int
 	failed   int
 	results  []ScanResult
-	canceled bool
+	// recorded[i] marks scan i as finished: its result is final and
+	// journaled. auditTimes[i] is its verdict's timestamp (zero when
+	// it has none), kept so a checkpoint can re-journal it and
+	// recovery can re-derive a verdict the audit log had not sealed.
+	recorded   []bool
+	auditTimes []time.Time
+	canceled   bool
+}
+
+// initScans sizes the per-scan bookkeeping for n scans, none finished.
+func (j *job) initScans(n int) {
+	j.results = make([]ScanResult, n)
+	for i := range j.results {
+		j.results[i] = ScanResult{Index: i}
+	}
+	j.recorded = make([]bool, n)
+	j.auditTimes = make([]time.Time, n)
 }
 
 // task is one unit of work: one scan of one job.
@@ -282,16 +280,11 @@ type Manager struct {
 
 	health *poolHealth
 
-	rngMu sync.Mutex // guards rng (backoff jitter)
-	rng   *rand.Rand
-
-	submitted, scans    *telemetry.Counter
-	panicsC, retriedC   *telemetry.Counter
-	quarantinedC        *telemetry.Counter
-	completedBy         func(State) *telemetry.Counter
-	queueDepth, activeG *telemetry.Gauge
-	workersBusyG        *telemetry.Gauge
-	workersStuckG       *telemetry.Gauge
+	submitted, scans, panicsC *telemetry.Counter
+	completedBy               func(State) *telemetry.Counter
+	queueDepth, activeG       *telemetry.Gauge
+	workersBusyG              *telemetry.Gauge
+	workersStuckG             *telemetry.Gauge
 }
 
 // New starts the worker pool and janitor. It panics on a journal
@@ -323,9 +316,6 @@ func Open(cfg Config) (*Manager, error) {
 	if cfg.Retention == 0 {
 		cfg.Retention = DefaultRetention
 	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = DefaultRetryBackoff
-	}
 	if cfg.StuckAfter <= 0 {
 		cfg.StuckAfter = DefaultStuckAfter
 	}
@@ -344,7 +334,6 @@ func Open(cfg Config) (*Manager, error) {
 		// full pre-crash queue re-admits without ErrQueueFull.
 		tasks: make(chan task, cfg.QueueDepth+len(pending)),
 		stop:  make(chan struct{}),
-		rng:   rand.New(rand.NewSource(1)), // jitter only; determinism aids replay
 	}
 	var suffix [4]byte
 	if _, err := crand.Read(suffix[:]); err != nil {
@@ -362,13 +351,10 @@ func Open(cfg Config) (*Manager, error) {
 	if reg := cfg.Registry; reg != nil {
 		reg.Help("sysrle_jobs_submitted_total", "Batch jobs accepted.")
 		reg.Help("sysrle_jobs_queue_depth", "Scan tasks waiting in the job queue.")
-		reg.Help("sysrle_jobs_scan_panics_total", "Scan attempts that panicked (recovered, worker kept).")
-		reg.Help("sysrle_jobs_scans_quarantined_total", "Scans that failed every configured attempt.")
+		reg.Help("sysrle_jobs_scan_panics_total", "Scans that panicked (recovered, worker kept).")
 		m.submitted = reg.Counter("sysrle_jobs_submitted_total")
 		m.scans = reg.Counter("sysrle_jobs_scans_total")
 		m.panicsC = reg.Counter("sysrle_jobs_scan_panics_total")
-		m.retriedC = reg.Counter("sysrle_jobs_scan_retries_total")
-		m.quarantinedC = reg.Counter("sysrle_jobs_scans_quarantined_total")
 		m.completedBy = func(s State) *telemetry.Counter {
 			return reg.Counter("sysrle_jobs_completed_total", telemetry.L("state", string(s)))
 		}
@@ -489,11 +475,8 @@ func (m *Manager) Submit(spec Spec) (string, error) {
 		persist: persist,
 		state:   StateQueued,
 		created: m.cfg.now(),
-		results: make([]ScanResult, len(spec.Scans)),
 	}
-	for i := range j.results {
-		j.results[i] = ScanResult{Index: i}
-	}
+	j.initScans(len(spec.Scans))
 	// The admission record must be durable before the id is handed
 	// out: an acknowledged job survives kill -9.
 	if err := m.journalAdmit(j); err != nil {
@@ -617,8 +600,8 @@ func (m *Manager) worker(id int) {
 }
 
 // runTask executes one scan task end to end: state transition,
-// engine resolution, the retry loop, and recording. Nothing in here
-// may kill the worker — scan attempts run under recover.
+// engine resolution, the scan, and recording. Nothing in here may
+// kill the worker — the scan runs under recover.
 func (m *Manager) runTask(t task, engines map[string]core.Engine) {
 	j := t.job
 	j.mu.Lock()
@@ -648,9 +631,7 @@ func (m *Manager) runTask(t task, engines map[string]core.Engine) {
 				return
 			}
 			if m.cfg.WrapEngine != nil {
-				if wrapped := m.cfg.WrapEngine(eng); wrapped != nil {
-					eng = wrapped
-				}
+				eng = m.cfg.WrapEngine(eng)
 			}
 			engines[j.spec.Engine] = eng
 		}
@@ -662,69 +643,40 @@ func (m *Manager) runTask(t task, engines map[string]core.Engine) {
 	m.record(j, res, false)
 }
 
-// runScan runs one scan with the retry policy: up to 1+ScanRetries
-// attempts, capped exponential backoff with jitter between them, and
-// quarantine when every attempt fails.
+// runScan runs one scan and turns its outcome into a result.
 func (m *Manager) runScan(j *job, eng core.Engine, scan int) ScanResult {
 	res := ScanResult{Index: scan}
-	attempts := 1 + m.cfg.ScanRetries
-	var lastErr error
-	for attempt := 1; attempt <= attempts; attempt++ {
-		if attempt > 1 {
-			if m.retriedC != nil {
-				m.retriedC.Inc()
-			}
-			if !m.backoff(attempt-1) || m.jobCanceled(j) {
-				// Shutdown or cancellation mid-retry: give up cleanly.
-				res.Attempts = attempt - 1
-				res.Error = lastErr.Error()
-				return res
-			}
-		}
-		out, err := m.attemptScan(j, eng, scan)
-		if err == nil {
-			res.Attempts = attempt
-			switch {
-			case out.report != nil:
-				rep := out.report
-				res.Clean = rep.Clean()
-				res.Defects = len(rep.Defects)
-				res.DiffPixels = rep.DiffArea
-				res.DiffRuns = rep.DiffRuns
-				res.Iterations = rep.TotalIterations
-			case out.doc != nil:
-				doc := out.doc
-				res.Clean = doc.SpecklesRemoved == 0
-				res.SpecklesRemoved = doc.SpecklesRemoved
-				res.LinesH = doc.LinesH
-				res.LinesV = doc.LinesV
-				res.Blocks = len(doc.Blocks)
-				res.OutputArea = doc.OutputArea
-			}
-			return res
-		}
-		lastErr = err
-	}
-	res.Attempts = attempts
-	res.Error = lastErr.Error()
-	if m.cfg.ScanRetries > 0 {
-		// A poison scan: it failed every attempt it was entitled to.
-		res.Quarantined = true
-		if m.quarantinedC != nil {
-			m.quarantinedC.Inc()
-		}
+	out, err := m.attemptScan(j, eng, scan)
+	switch {
+	case err != nil:
+		res.Error = err.Error()
+	case out.report != nil:
+		rep := out.report
+		res.Clean = rep.Clean()
+		res.Defects = len(rep.Defects)
+		res.DiffPixels = rep.DiffArea
+		res.DiffRuns = rep.DiffRuns
+		res.Iterations = rep.TotalIterations
+	case out.doc != nil:
+		doc := out.doc
+		res.Clean = doc.SpecklesRemoved == 0
+		res.SpecklesRemoved = doc.SpecklesRemoved
+		res.LinesH = doc.LinesH
+		res.LinesV = doc.LinesV
+		res.Blocks = len(doc.Blocks)
+		res.OutputArea = doc.OutputArea
 	}
 	return res
 }
 
-// scanOutcome is what one successful attempt produced: an inspection
+// scanOutcome is what a successful scan produced: an inspection
 // report or a docclean result, depending on the job type.
 type scanOutcome struct {
 	report *inspect.Report
 	doc    *docclean.Result
 }
 
-// attemptScan runs a single attempt under recover and the per-scan
+// attemptScan runs the scan under recover and the per-scan
 // deadline. A panic anywhere in the pipeline becomes an error; the
 // worker goroutine is never lost.
 func (m *Manager) attemptScan(j *job, eng core.Engine, scan int) (out scanOutcome, err error) {
@@ -757,34 +709,6 @@ func (m *Manager) attemptScan(j *job, eng core.Engine, scan int) (out scanOutcom
 	}
 	out.report, err = ins.CompareContext(ctx, j.ref, j.spec.Scans[scan])
 	return out, err
-}
-
-// backoff sleeps before retry n (1-based): RetryBackoff doubled per
-// retry, capped at 32×, plus up to 50% jitter from the seeded rng.
-// Returns false when the manager is shutting down.
-func (m *Manager) backoff(n int) bool {
-	shift := n - 1
-	if shift > 5 {
-		shift = 5
-	}
-	d := m.cfg.RetryBackoff << shift
-	m.rngMu.Lock()
-	d += time.Duration(m.rng.Int63n(int64(d)/2 + 1))
-	m.rngMu.Unlock()
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return true
-	case <-m.stop:
-		return false
-	}
-}
-
-func (m *Manager) jobCanceled(j *job) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.canceled
 }
 
 // record stores one scan result and finalizes the job when it was the
@@ -827,6 +751,8 @@ func (m *Manager) record(j *job, res ScanResult, canceledScan bool) {
 		m.journalAppend(walRecord{Op: opDone, JobID: j.id, State: state, Finished: finishedAt})
 	}
 	j.results[res.Index] = res
+	j.recorded[res.Index] = true
+	j.auditTimes[res.Index] = auditTime
 	j.done++
 	j.failed = failed
 	j.state, j.finished = state, finishedAt

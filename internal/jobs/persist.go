@@ -266,16 +266,15 @@ func rebuildJob(cfg Config, id string, r *recoveredJob) (*job, []task) {
 		created:  r.created,
 		canceled: r.canceled,
 		state:    StateQueued,
-		results:  make([]ScanResult, p.Total),
 	}
-	for i := range j.results {
-		j.results[i] = ScanResult{Index: i}
-	}
+	j.initScans(p.Total)
 	for i, res := range r.results {
 		if i < 0 || i >= p.Total {
 			continue
 		}
 		j.results[i] = res
+		j.recorded[i] = true
+		j.auditTimes[i] = r.auditTimes[i]
 		j.done++
 		if res.Error != "" && res.Error != "canceled" {
 			j.failed++
@@ -284,7 +283,7 @@ func rebuildJob(cfg Config, id string, r *recoveredJob) (*job, []task) {
 		// crash this is a content-addressed no-op, and if it was
 		// pending it is restored.
 		if cfg.Audit != nil && res.Error == "" && typeName(p.Type) == TypeInspect {
-			if at, ok := r.auditTimes[i]; ok {
+			if at := j.auditTimes[i]; !at.IsZero() {
 				if aid, err := cfg.Audit.Append(j.verdict(res, at)); err == nil {
 					j.results[i].AuditID = aid
 				}
@@ -299,7 +298,7 @@ func rebuildJob(cfg Config, id string, r *recoveredJob) (*job, []task) {
 		ref, refErr := loadImage(cfg, p.RefBlob, p.RefID)
 		j.ref = ref
 		for i := 0; i < j.total; i++ {
-			if _, done := r.results[i]; done {
+			if j.recorded[i] {
 				continue
 			}
 			var scanErr error
@@ -313,6 +312,7 @@ func rebuildJob(cfg Config, id string, r *recoveredJob) (*job, []task) {
 			}
 			if scanErr != nil {
 				j.results[i] = ScanResult{Index: i, Error: scanErr.Error()}
+				j.recorded[i] = true
 				j.done++
 				j.failed++
 				continue
@@ -408,11 +408,10 @@ func (m *Manager) snapshotRecords() [][]byte {
 		if j.canceled {
 			add(walRecord{Op: opCancel, JobID: j.id})
 		}
-		for i := range j.results {
-			res := j.results[i]
-			if res.Attempts > 0 || res.Error != "" {
-				r := res
-				add(walRecord{Op: opScan, JobID: j.id, Index: i, Result: &r})
+		for i, done := range j.recorded {
+			if done {
+				res := j.results[i]
+				add(walRecord{Op: opScan, JobID: j.id, Index: i, Result: &res, AuditTime: j.auditTimes[i]})
 			}
 		}
 		if j.state.Terminal() {

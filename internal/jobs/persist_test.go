@@ -130,6 +130,80 @@ func TestRecoveryFinishedJobNeverReruns(t *testing.T) {
 	}
 }
 
+// TestRecoveryFinishedJobsSurviveTwoRestarts crashes the machine
+// twice after an inspect job (one scan clean, with no defects) and a
+// docclean job finish. The first recovery replays the history; the
+// second replays the checkpoint that the first boot wrote, so a scan
+// the checkpoint lost would re-run here. The audit log never seals a
+// batch, so the verdicts survive only if every boot re-derives them.
+func TestRecoveryFinishedJobsSurviveTwoRestarts(t *testing.T) {
+	e := newDurableEnv(t)
+	m := e.manager()
+	spec := inspectSpec(2)
+	spec.Scans = append(spec.Scans, spec.Ref.Clone())
+	page := rle.NewImage(40, 20)
+	page.Rows[3] = rle.Row{rle.Span(5, 34)}
+	page.Rows[10] = rle.Row{rle.Span(8, 8)}
+	var ids []string
+	for _, sp := range []Spec{spec, {Type: TypeDocClean, Scans: []*rle.Image{page}}} {
+		id, err := m.Submit(sp)
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		ids = append(ids, id)
+	}
+	before := make(map[string]Status)
+	for _, id := range ids {
+		st := waitTerminal(t, m, id)
+		if st.State != StateDone {
+			t.Fatalf("pre-crash state of %s = %s: %+v", id, st.State, st)
+		}
+		before[id] = st
+	}
+	if r := before[ids[0]].Results[2]; !r.Clean || r.Defects != 0 || r.AuditID == "" {
+		t.Fatalf("identical scan: %+v, want clean with an audit id", r)
+	}
+	m.Close()
+
+	for boot := 2; boot <= 3; boot++ {
+		e.crash()
+		m = e.manager()
+		for _, id := range ids {
+			after, err := m.Get(id)
+			if err != nil {
+				t.Fatalf("boot %d: Get(%s): %v", boot, id, err)
+			}
+			want := before[id]
+			if after.State != want.State || after.ScansDone != want.ScansTotal {
+				t.Errorf("boot %d: %s = %s with %d scans done, want %s with %d",
+					boot, id, after.State, after.ScansDone, want.State, want.ScansTotal)
+			}
+			for i, res := range after.Results {
+				if res != want.Results[i] {
+					t.Errorf("boot %d: %s scan %d = %+v, want %+v", boot, id, i, res, want.Results[i])
+				}
+			}
+		}
+		if v := e.reg.Counter("sysrle_jobs_scans_total").Value(); v != 0 {
+			t.Errorf("boot %d re-ran %d scans of finished jobs", boot, v)
+		}
+		m.Close()
+	}
+	if err := e.audit.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range before[ids[0]].Results {
+		p, err := e.audit.Proof(res.AuditID)
+		if err != nil {
+			t.Errorf("verdict %s lost across two restarts: %v", res.AuditID, err)
+			continue
+		}
+		if err := auditlog.VerifyProof(p); err != nil {
+			t.Errorf("proof for %s: %v", res.AuditID, err)
+		}
+	}
+}
+
 // TestRecoveryRequeuesPendingScans hand-writes a journal in which one
 // of two scans completed, then boots a manager and expects exactly the
 // missing scan to run.
@@ -147,18 +221,20 @@ func TestRecoveryRequeuesPendingScans(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	appendRec := func(rec walRecord) {
-		data, err := json.Marshal(&rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.wal.Append(data); err != nil {
+	admit, err := json.Marshal(&walRecord{Op: opAdmit, JobID: "job-000007", Created: time.Unix(500, 0), Spec: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The scan record as older builds wrote it, when a scan could be
+	// retried: the fields "attempts" and "quarantined" are gone from
+	// ScanResult and must be ignored on replay.
+	done := []byte(`{"op":"scan","job_id":"job-000007","result":{"index":0,"clean":false,` +
+		`"defects":9,"diff_pixels":41,"diff_runs":0,"iterations":0,"attempts":3,"quarantined":true}}`)
+	for _, rec := range [][]byte{admit, done} {
+		if err := e.wal.Append(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	appendRec(walRecord{Op: opAdmit, JobID: "job-000007", Created: time.Unix(500, 0), Spec: p})
-	done := ScanResult{Index: 0, Defects: 9, DiffPixels: 41, Attempts: 3}
-	appendRec(walRecord{Op: opScan, JobID: "job-000007", Index: 0, Result: &done})
 
 	e.crash()
 	m := e.manager()
@@ -168,7 +244,7 @@ func TestRecoveryRequeuesPendingScans(t *testing.T) {
 	if st.State != StateDone {
 		t.Fatalf("recovered job state = %s: %+v", st.State, st)
 	}
-	if got := st.Results[0]; got.Defects != 9 || got.DiffPixels != 41 || got.Attempts != 3 {
+	if got := st.Results[0]; got.Defects != 9 || got.DiffPixels != 41 || got.Error != "" {
 		t.Errorf("journaled scan 0 was not preserved verbatim: %+v", got)
 	}
 	if got := st.Results[1]; got.Error != "" || got.Defects == 0 {

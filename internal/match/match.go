@@ -89,27 +89,6 @@ func Best(img, tpl *rle.Image) (Match, bool) {
 	return best, best.Mismatch >= 0
 }
 
-// NonMaxSuppress keeps, from a mismatch-sorted match list, only
-// placements whose windows do not overlap an already kept one — the
-// standard cleanup when Search fires on every offset around a true
-// hit.
-func NonMaxSuppress(matches []Match, tplW, tplH int) []Match {
-	var kept []Match
-	for _, m := range matches {
-		clash := false
-		for _, k := range kept {
-			if m.X < k.X+tplW && k.X < m.X+tplW && m.Y < k.Y+tplH && k.Y < m.Y+tplH {
-				clash = true
-				break
-			}
-		}
-		if !clash {
-			kept = append(kept, m)
-		}
-	}
-	return kept
-}
-
 // Classify picks the template with the smallest mismatch against the
 // glyph image (same size comparison at offset (0,0), per character
 // recognition practice). Keys are compared deterministically; ok is

@@ -115,22 +115,6 @@ func TestBest(t *testing.T) {
 	}
 }
 
-func TestNonMaxSuppress(t *testing.T) {
-	matches := []Match{
-		{X: 10, Y: 10, Mismatch: 0},
-		{X: 11, Y: 10, Mismatch: 2}, // overlaps the first
-		{X: 30, Y: 10, Mismatch: 3}, // disjoint
-		{X: 30, Y: 11, Mismatch: 4}, // overlaps the third
-	}
-	kept := NonMaxSuppress(matches, 5, 7)
-	if len(kept) != 2 || kept[0].X != 10 || kept[1].X != 30 {
-		t.Errorf("kept = %+v", kept)
-	}
-	if len(NonMaxSuppress(nil, 5, 7)) != 0 {
-		t.Error("empty input mishandled")
-	}
-}
-
 func TestClassifyCleanGlyphs(t *testing.T) {
 	font := Font()
 	for name, glyph := range font {

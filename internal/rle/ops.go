@@ -1,7 +1,5 @@
 package rle
 
-import "sort"
-
 // Compressed-domain boolean operations. All operate directly on runs
 // in a single boundary sweep, O(k1+k2) in the run counts, without
 // expanding to pixels — the regime the paper targets ("process images
@@ -117,15 +115,6 @@ func AppendXOR(dst Row, a, b Row) Row {
 	return appendCombine(dst, a, b, func(x, y bool) bool { return x != y })
 }
 
-// XORInto computes the image difference of a and b into dst's
-// storage (dst's length is ignored, its capacity reused) and returns
-// the result, which is canonical. It is the in-place variant of XOR:
-//
-//	scratch = rle.XORInto(scratch, a, b) // no allocation once scratch is big enough
-func XORInto(dst Row, a, b Row) Row {
-	return AppendXOR(dst[:0], a, b)
-}
-
 // AppendCanonical appends w's runs to dst in canonical form — merging
 // adjacent and overlapping runs as Canonicalize does — reusing dst's
 // capacity. Runs already in dst are never modified or merged with
@@ -227,32 +216,6 @@ func ORMany(rows []Row) Row {
 	return s.AppendOR(nil, rows)
 }
 
-// ANDMany returns the conjunction of many rows: pixels covered by all
-// of them.
-func ANDMany(rows []Row) Row {
-	if len(rows) == 0 {
-		return nil
-	}
-	var s SweepScratch
-	return s.AppendAND(nil, rows)
-}
-
-// AtLeast returns pixels covered by at least n of the rows (n ≥ 1).
-// ORMany and ANDMany are the n=1 and n=len special cases; intermediate
-// n yields majority-style filters.
-func AtLeast(rows []Row, n int) Row {
-	if n < 1 {
-		n = 1
-	}
-	var s SweepScratch
-	return s.appendThreshold(nil, rows, n)
-}
-
-type boundary struct {
-	pos   int
-	delta int
-}
-
 // SweepScratch owns the reusable buffers of the k-row combination
 // sweeps. Callers that run many sweeps (the vertical pass of
 // run-native morphology visits one window per output row) keep one
@@ -266,7 +229,6 @@ type boundary struct {
 // The zero value is ready to use. A SweepScratch must not be shared
 // between goroutines.
 type SweepScratch struct {
-	bs   []boundary
 	idx  []int
 	tmpA Row
 	tmpB Row
@@ -368,66 +330,4 @@ func intersectAppend(dst Row, a, b Row) Row {
 		}
 	}
 	return dst
-}
-
-// AppendAtLeast appends pixels covered by at least n of the rows
-// (n ≥ 1) under the append contract.
-func (s *SweepScratch) AppendAtLeast(dst Row, rows []Row, n int) Row {
-	if n < 1 {
-		n = 1
-	}
-	return s.appendThreshold(dst, rows, n)
-}
-
-func (s *SweepScratch) appendThreshold(dst Row, rows []Row, threshold int) Row {
-	total := 0
-	for _, w := range rows {
-		total += len(w)
-	}
-	if total == 0 {
-		return dst
-	}
-	bs := s.bs[:0]
-	for _, w := range rows {
-		for _, r := range w {
-			bs = append(bs, boundary{r.Start, +1}, boundary{r.End() + 1, -1})
-		}
-	}
-	sortBoundaries(bs)
-	s.bs = bs
-	out := dst
-	depth := 0
-	open := false
-	var openAt int
-	for i := 0; i < len(bs); {
-		pos := bs[i].pos
-		for i < len(bs) && bs[i].pos == pos {
-			depth += bs[i].delta
-			i++
-		}
-		want := depth >= threshold
-		switch {
-		case want && !open:
-			open = true
-			openAt = pos
-		case !want && open:
-			open = false
-			out = append(out, Span(openAt, pos-1))
-		}
-	}
-	return out
-}
-
-// sortBoundaries sorts by position; insertion sort for the tiny
-// windows the morphology sweeps pass, sort.Slice otherwise.
-func sortBoundaries(bs []boundary) {
-	if len(bs) < 32 {
-		for i := 1; i < len(bs); i++ {
-			for j := i; j > 0 && bs[j].pos < bs[j-1].pos; j-- {
-				bs[j], bs[j-1] = bs[j-1], bs[j]
-			}
-		}
-		return
-	}
-	sort.Slice(bs, func(i, j int) bool { return bs[i].pos < bs[j].pos })
 }

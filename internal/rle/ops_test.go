@@ -64,12 +64,12 @@ func TestAppendXORMatchesXOR(t *testing.T) {
 		width := 1 + rng.Intn(512)
 		a, b := randomRow(rng, width), randomRow(rng, width)
 		want := XOR(a, b)
-		scratch = XORInto(scratch, a, b)
+		scratch = AppendXOR(scratch[:0], a, b)
 		if !scratch.Equal(want) {
-			t.Fatalf("XORInto(%v, %v) = %v, want %v", a, b, scratch, want)
+			t.Fatalf("AppendXOR(%v, %v) = %v, want %v", a, b, scratch, want)
 		}
 		if !scratch.Canonical() && len(scratch) > 0 {
-			t.Fatalf("XORInto output %v not canonical", scratch)
+			t.Fatalf("AppendXOR output %v not canonical", scratch)
 		}
 	}
 }
@@ -97,15 +97,15 @@ func TestAppendXORPreservesPrefix(t *testing.T) {
 	}
 }
 
-func TestXORIntoReusesCapacity(t *testing.T) {
+func TestAppendXORReusesCapacity(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	a, b := randomRow(rng, 2048), randomRow(rng, 2048)
-	scratch := XORInto(nil, a, b) // size the scratch once
+	scratch := AppendXOR(nil, a, b) // size the scratch once
 	allocs := testing.AllocsPerRun(100, func() {
-		scratch = XORInto(scratch, a, b)
+		scratch = AppendXOR(scratch[:0], a, b)
 	})
 	if allocs != 0 {
-		t.Fatalf("XORInto with warm scratch allocated %.1f times per run, want 0", allocs)
+		t.Fatalf("AppendXOR with warm scratch allocated %.1f times per run, want 0", allocs)
 	}
 }
 
@@ -155,12 +155,12 @@ func FuzzAppendXOR(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		a, b := randomRow(rng, width), randomRow(rng, width)
 		want := XOR(a, b)
-		got := XORInto(make(Row, 0, 4), a, b)
+		got := AppendXOR(make(Row, 0, 4), a, b)
 		if !got.Equal(want) {
-			t.Fatalf("XORInto = %v, want %v", got, want)
+			t.Fatalf("AppendXOR = %v, want %v", got, want)
 		}
 		if !got.Equal(bitOp(a, b, width, func(x, y bool) bool { return x != y })) {
-			t.Fatalf("XORInto disagrees with bit reference on %v ^ %v", a, b)
+			t.Fatalf("AppendXOR disagrees with bit reference on %v ^ %v", a, b)
 		}
 	})
 }
@@ -272,41 +272,21 @@ func TestORManyAndANDMany(t *testing.T) {
 	if got, want := ORMany(rows), (Row{{0, 6}, {10, 2}}); !got.Equal(want) {
 		t.Errorf("ORMany = %v, want %v", got, want)
 	}
-	if got, want := ANDMany(rows), (Row{{3, 1}}); !got.Equal(want) {
-		t.Errorf("ANDMany = %v, want %v", got, want)
+	var sweep SweepScratch
+	if got, want := sweep.AppendAND(nil, rows), (Row{{3, 1}}); !got.Equal(want) {
+		t.Errorf("AppendAND = %v, want %v", got, want)
 	}
 	if ORMany(nil) != nil {
 		t.Error("ORMany(nil) should be empty")
 	}
-	if ANDMany(nil) != nil {
-		t.Error("ANDMany(nil) should be empty")
-	}
-}
-
-func TestAtLeast(t *testing.T) {
-	rows := []Row{
-		{{0, 4}},
-		{{2, 4}},
-		{{3, 3}},
-	}
-	// Coverage: pixel0:1 1:1 2:2 3:3 4:2 5:2
-	if got, want := AtLeast(rows, 2), (Row{{2, 4}}); !got.Equal(want) {
-		t.Errorf("AtLeast(2) = %v, want %v", got, want)
-	}
-	if got, want := AtLeast(rows, 3), (Row{{3, 1}}); !got.Equal(want) {
-		t.Errorf("AtLeast(3) = %v, want %v", got, want)
-	}
-	if got := AtLeast(rows, 4); len(got) != 0 {
-		t.Errorf("AtLeast(4) = %v, want empty", got)
-	}
-	// n<1 clamps to 1 (= OR).
-	if !AtLeast(rows, 0).Equal(ORMany(rows)) {
-		t.Error("AtLeast(0) should equal ORMany")
+	if sweep.AppendAND(nil, nil) != nil {
+		t.Error("AppendAND of no rows should be empty")
 	}
 }
 
 func TestManyAgainstPairwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
+	var sweep SweepScratch
 	for trial := 0; trial < 100; trial++ {
 		width := 1 + rng.Intn(128)
 		n := 1 + rng.Intn(6)
@@ -322,8 +302,8 @@ func TestManyAgainstPairwise(t *testing.T) {
 		if !ORMany(rows).Equal(orRef) {
 			t.Fatalf("ORMany disagrees with pairwise OR on %v", rows)
 		}
-		if !ANDMany(rows).Equal(andRef) {
-			t.Fatalf("ANDMany disagrees with pairwise AND on %v", rows)
+		if !sweep.AppendAND(nil, rows).Equal(andRef) {
+			t.Fatalf("AppendAND disagrees with pairwise AND on %v", rows)
 		}
 	}
 }

@@ -33,17 +33,6 @@ func (r Run) End() int { return r.Start + r.Length - 1 }
 // Contains reports whether pixel index i lies inside the run.
 func (r Run) Contains(i int) bool { return i >= r.Start && i <= r.End() }
 
-// Overlaps reports whether the two runs share at least one pixel.
-func (r Run) Overlaps(s Run) bool {
-	return r.Length > 0 && s.Length > 0 && r.Start <= s.End() && s.Start <= r.End()
-}
-
-// Adjacent reports whether the two runs abut without overlapping, in
-// either order (r then s, or s then r).
-func (r Run) Adjacent(s Run) bool {
-	return r.End()+1 == s.Start || s.End()+1 == r.Start
-}
-
 // Valid reports whether the run is well-formed: non-negative start and
 // strictly positive length.
 func (r Run) Valid() bool { return r.Start >= 0 && r.Length > 0 }

@@ -49,45 +49,6 @@ func TestRunContains(t *testing.T) {
 	}
 }
 
-func TestRunOverlaps(t *testing.T) {
-	cases := []struct {
-		a, b Run
-		want bool
-	}{
-		{Run{0, 5}, Run{4, 2}, true},   // share pixel 4
-		{Run{0, 5}, Run{5, 2}, false},  // adjacent, not overlapping
-		{Run{0, 5}, Run{10, 2}, false}, // disjoint
-		{Run{3, 2}, Run{0, 10}, true},  // contained
-		{Run{7, 1}, Run{7, 1}, true},   // identical single pixel
-		{Run{0, 0}, Run{0, 5}, false},  // degenerate zero-length never overlaps
-	}
-	for _, c := range cases {
-		if got := c.a.Overlaps(c.b); got != c.want {
-			t.Errorf("%v.Overlaps(%v) = %v, want %v", c.a, c.b, got, c.want)
-		}
-		if got := c.b.Overlaps(c.a); got != c.want {
-			t.Errorf("%v.Overlaps(%v) = %v, want %v (symmetry)", c.b, c.a, got, c.want)
-		}
-	}
-}
-
-func TestRunAdjacent(t *testing.T) {
-	cases := []struct {
-		a, b Run
-		want bool
-	}{
-		{Run{0, 5}, Run{5, 2}, true},
-		{Run{5, 2}, Run{0, 5}, true}, // symmetric
-		{Run{0, 5}, Run{6, 2}, false},
-		{Run{0, 5}, Run{4, 2}, false}, // overlapping is not adjacent
-	}
-	for _, c := range cases {
-		if got := c.a.Adjacent(c.b); got != c.want {
-			t.Errorf("%v.Adjacent(%v) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
-
 func TestRunValid(t *testing.T) {
 	cases := []struct {
 		r    Run

@@ -1,6 +1,6 @@
 package rle
 
-// Similarity measures between two encoded rows or images. The paper
+// Similarity measures between two encoded rows. The paper
 // lets "the similarity of two images be measured by the number of runs
 // in the final result" (§5); the other metrics here are the standard
 // companions used to characterize workloads in the evaluation harness.
@@ -101,34 +101,4 @@ func XORAreaShifted(a, b Row, dx, width int) int {
 		}
 	}
 	return areaA + areaB - 2*overlap
-}
-
-// Jaccard returns |a ∧ b| / |a ∨ b| in [0, 1]; two empty rows are
-// defined to have similarity 1.
-func Jaccard(a, b Row) float64 {
-	union := OR(a, b).Area()
-	if union == 0 {
-		return 1
-	}
-	return float64(AND(a, b).Area()) / float64(union)
-}
-
-// ImageHamming returns the number of differing pixels between two
-// equally sized images; it panics on a size mismatch.
-func ImageHamming(a, b *Image) int {
-	diff, err := XORImage(a, b)
-	if err != nil {
-		panic(err)
-	}
-	return diff.Area()
-}
-
-// ImageXORRuns returns the total run count of the image difference —
-// the image-level analogue of the paper's similarity measure.
-func ImageXORRuns(a, b *Image) int {
-	diff, err := XORImage(a, b)
-	if err != nil {
-		panic(err)
-	}
-	return diff.RunCount()
 }

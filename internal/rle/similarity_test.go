@@ -1,7 +1,6 @@
 package rle
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -37,39 +36,9 @@ func TestHamming(t *testing.T) {
 	}
 }
 
-func TestJaccard(t *testing.T) {
-	if got := Jaccard(nil, nil); got != 1 {
-		t.Errorf("Jaccard(∅,∅) = %v, want 1", got)
-	}
-	a := Row{{0, 4}}
-	if got := Jaccard(a, a); got != 1 {
-		t.Errorf("Jaccard(a,a) = %v, want 1", got)
-	}
-	b := Row{{2, 4}} // overlap 2, union 6
-	if got, want := Jaccard(a, b), 2.0/6.0; math.Abs(got-want) > 1e-12 {
-		t.Errorf("Jaccard = %v, want %v", got, want)
-	}
-	if got := Jaccard(a, Row{{10, 2}}); got != 0 {
-		t.Errorf("disjoint Jaccard = %v, want 0", got)
-	}
-}
-
-func TestImageSimilarity(t *testing.T) {
-	a := NewImage(32, 2)
-	b := NewImage(32, 2)
-	a.SetRow(0, fig1Img1())
-	b.SetRow(0, fig1Img2())
-	if got := ImageHamming(a, b); got != 10 {
-		t.Errorf("ImageHamming = %d, want 10", got)
-	}
-	if got := ImageXORRuns(a, b); got != 5 {
-		t.Errorf("ImageXORRuns = %d, want 5", got)
-	}
-}
-
 func TestSimilarityRelations(t *testing.T) {
-	// Hamming ≥ XORRuns (every run has ≥1 pixel); Jaccard = 1 iff
-	// Hamming = 0.
+	// Hamming ≥ XORRuns (every run has ≥1 pixel), and Hamming is 0
+	// exactly when the rows hold the same bits.
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 200; trial++ {
 		width := 1 + rng.Intn(200)
@@ -78,8 +47,8 @@ func TestSimilarityRelations(t *testing.T) {
 		if h < k3 {
 			t.Fatalf("Hamming %d < XORRuns %d for %v %v", h, k3, a, b)
 		}
-		if (h == 0) != (Jaccard(a, b) == 1) {
-			t.Fatalf("Jaccard/Hamming inconsistency for %v %v", a, b)
+		if (h == 0) != a.EqualBits(b) {
+			t.Fatalf("Hamming %d inconsistent with bit equality for %v %v", h, a, b)
 		}
 	}
 }

@@ -218,6 +218,31 @@ func runCrashChaosIteration(t *testing.T, seed int64) {
 			}
 		}
 	}
+
+	// Part 4: verdicts grouped by (job, scan), the way sysdiffd -fsck
+	// does. A verdict can be sealed before the crash while its scan
+	// record is lost; recovery then re-runs the scan and seals a second
+	// one. No client saw the first, so only a scan acknowledged as
+	// finished before the crash must never have two.
+	seen := make(map[string]string)
+	for _, info := range s2.audit.Batches() {
+		b, err := s2.audit.Batch(info.Seq)
+		if err != nil {
+			t.Fatalf("audit batch %d: %v", info.Seq, err)
+		}
+		for _, v := range b.Verdicts {
+			k := fmt.Sprintf("job %s scan %d", v.JobID, v.ScanIndex)
+			first, dup := seen[k]
+			seen[k] = v.ID
+			if !dup {
+				continue
+			}
+			if _, acked := completed[v.JobID]; acked {
+				t.Fatalf("%s was finished before the crash and has two verdicts: %s and %s", k, first, v.ID)
+			}
+			t.Logf("seed %d: %s has two verdicts after recovery: %s and %s", seed, k, first, v.ID)
+		}
+	}
 }
 
 // TestDiskFaultChaos runs the reference workload with every disk

@@ -188,7 +188,7 @@ func TestFaultInjectionEndToEnd(t *testing.T) {
 	plan := fault.Plan{Seed: 7, Rate: 0.5, Kinds: []fault.Kind{
 		fault.KindCorruptRun, fault.KindDropRun, fault.KindStuckEmpty, fault.KindError,
 	}}
-	s := NewWith(Config{JobWorkers: 2, FaultPlan: &plan, ScanRetries: 2})
+	s := NewWith(Config{JobWorkers: 2, FaultPlan: &plan})
 	defer s.Close()
 	srv := httptest.NewServer(s)
 	defer srv.Close()

@@ -238,11 +238,9 @@ type Config struct {
 	// jobs.DefaultRetention, negative retains forever.
 	JobRetention time.Duration
 
-	// ScanTimeout bounds one batch-scan attempt; 0 disables.
+	// ScanTimeout bounds one batch scan; 0 disables. A failed scan
+	// is final; it is not retried.
 	ScanTimeout time.Duration
-	// ScanRetries retries failed batch scans this many times with
-	// capped exponential backoff before quarantining them; 0 disables.
-	ScanRetries int
 	// StuckAfter is how long one scan may hold a jobs worker before
 	// the /readyz worker probe reports it stuck; 0 means
 	// jobs.DefaultStuckAfter.
@@ -398,7 +396,6 @@ func Open(cfg Config) (*Server, error) {
 		Store:       s.refs,
 		Registry:    s.reg,
 		ScanTimeout: cfg.ScanTimeout,
-		ScanRetries: cfg.ScanRetries,
 		StuckAfter:  cfg.StuckAfter,
 		WrapEngine:  s.engineWrapper(),
 		Journal:     s.journal,

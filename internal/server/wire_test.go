@@ -59,7 +59,7 @@ func TestWireGolden(t *testing.T) {
 	queued := "index,clean,defects,diff_pixels,diff_runs,iterations"
 	job := "id,state,type,ref_id,engine,scans_total,scans_done,created"
 	finished := job + ",started,finished,error,results,results[]." +
-		strings.ReplaceAll(queued+",error,attempts,audit_id", ",", ",results[].")
+		strings.ReplaceAll(queued+",error,audit_id", ",", ",results[].")
 	shape := "Area,CX,CY,Width,Height,Aspect,Fill,Orientation,Elongation"
 	for _, tc := range []struct {
 		name   string
@@ -103,7 +103,7 @@ func TestWireGolden(t *testing.T) {
 		if tc.resp == nil {
 			got = slices.DeleteFunc(got, func(k string) bool {
 				return slices.Contains([]string{"started", "finished", "error",
-					"results[].error", "results[].attempts", "results[].audit_id"}, k)
+					"results[].error", "results[].audit_id"}, k)
 			})
 		}
 		want := strings.Split(tc.want, ",")

@@ -107,11 +107,6 @@ func (p ErrorParams) Validate() error {
 	return nil
 }
 
-// MeanLen is the expected error-run length.
-func (p ErrorParams) MeanLen() float64 {
-	return float64(p.MinLen+p.MaxLen) / 2
-}
-
 // CountForPixelFraction sizes Count so that approximately frac·width
 // pixels differ (before overlap between error runs).
 func CountForPixelFraction(width int, frac float64, minLen, maxLen int) ErrorParams {
